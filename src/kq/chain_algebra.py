@@ -317,8 +317,8 @@ class Homology:
 
 
 def homology(Q, k):
-    if k > Q.n:
-        raise UserInputError(f"homology level {k} exceeds truncation {Q.n}")
+    if not 0 <= k <= Q.n:
+        raise UserInputError(f"homology level {k} is outside 0..{Q.n}")
     return Homology(Q, k)
 
 
@@ -341,7 +341,7 @@ def truncate(Q, n2):
     Requires every quotient level to be a free Z/m module; a torsion quotient
     (possible over Z/p^2) is reported as an error carrying the presentation.
     """
-    if n2 > Q.n:
+    if not 0 <= n2 <= Q.n:
         raise UserInputError(f"cannot truncate {Q.n}-truncated algebra to level {n2}")
     if n2 == Q.n:
         return Q

@@ -5,7 +5,8 @@ computation, and print a canonical JSON result on stdout.  Output is byte
 identical across runs on identical inputs: keys are sorted, there are no
 timestamps, and the engine version and input hashes are embedded.  Exit code
 0 means success, 1 a user error (diagnostics in the JSON on stdout and a
-human message on stderr), 2 an internal invariant violation.
+human message on stderr), 2 an internal error (an error document on stdout
+and the traceback on stderr).
 """
 
 import argparse
@@ -13,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 
 from . import __version__
 from .chain_algebra import NatSystem, homology, truncate
@@ -23,7 +25,7 @@ from .documents import (
     parse_sequence,
     presentation_to_dict,
 )
-from .errors import BudgetExceededError, EngineError, UserInputError
+from .errors import BudgetExceededError, UserInputError
 from .oracle_support import DEFAULT_BUDGET, EnumerationBudget
 from .toda import (
     MorphismSequence,
@@ -94,15 +96,17 @@ def _bracket_payload(res, nat):
 
 
 def _budget(args):
-    if args.budget is not None:
-        return EnumerationBudget(args.budget)
+    budget = args.budget
     env = os.environ.get("ENGINE_BUDGET")
-    if env:
+    if budget is None and env:
         try:
-            return EnumerationBudget(int(env))
+            budget = int(env)
         except ValueError:
             raise UserInputError(f"ENGINE_BUDGET is not an integer: {env!r}")
-    return EnumerationBudget(DEFAULT_BUDGET)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if budget < 1:
+        raise UserInputError(f"the enumeration budget must be at least 1, got {budget}")
+    return EnumerationBudget(budget)
 
 
 def run(args):
@@ -251,8 +255,12 @@ def main(argv=None):
         )
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EngineError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a bug in the engine: still one JSON document, exit 2
+        traceback.print_exc()
+        _emit(
+            {"command": args.command, "status": "error", "error": f"{type(exc).__name__}: {exc}", "kind": "internal"},
+            args.out,
+        )
         return 2
     _emit(result, args.out)
     return 0

@@ -6,8 +6,10 @@ a morphism over the k-cube extending the glued assembly of lower data over
 the union of the cube facets through the origin, with zero prescribed on
 the facets through the opposite corner.  The obstruction class of the final
 assembly is the bracket representative.  Every solver choice is logged and
-can be replayed, and the oracle walks the whole choice tree to produce the
-exact bracket set.
+can be replayed.  One depth-first walker over the choice tree serves every
+entry point: the bracket and adams-d follow one branch, the oracle visits
+every leaf to produce the exact bracket set, and the chain-complex search
+stops at the first coherent leaf.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,6 @@ from .track import (
     glue,
     inject_cubical,
     obstruction,
-    pt_morphism,
     tensor,
 )
 
@@ -75,19 +76,18 @@ class HigherChainComplex:
     choice_log: list = field(default_factory=list)
 
 
+@dataclass
 class _Tower:
-    """Shared induction: level-k data for each index, with choice logging."""
+    """Nullhomotopy data with the choice log that built it."""
 
-    def __init__(self, Q, seq, order, prescribed=None, choices=None):
-        self.Q = Q
-        self.seq = seq
-        self.order = order
-        self.prescribed = dict(prescribed or {})
-        self.choices = dict(choices or {})
-        self.data = {}
-        self.log = []
-        for i in range(1, seq.length + 1):
-            self.data[(i, 0)] = seq.maps[i - 1]
+    data: dict  # (index i, level k) -> TrackMorphism over the k-cube
+    log: list = field(default_factory=list)
+
+    @staticmethod
+    def start(seq, prescribed=None):
+        data = {(i, 0): f for i, f in enumerate(seq.maps, 1)}
+        data.update(prescribed or {})
+        return _Tower(data)
 
     def glued_assembly(self, i, k):
         """The union over the corner facets of the (k+1)-cube for index i.
@@ -109,37 +109,63 @@ class _Tower:
                 f"face compatibility failed while assembling index {i} level {k}: {exc}"
             ) from exc
 
-    def build_level(self, i, k):
-        """Extend the glued assembly across the k-cube, zero on the far corner."""
-        if (i, k) in self.data:
-            return None
-        if (i, k) in self.prescribed:
-            self.data[(i, k)] = self.prescribed[(i, k)]
-            return None
-        partial = self.glued_assembly(i, k - 1)
+    def solve(self, i, k):
+        """Solver blocks extending the glued assembly across the k-cube, zero on the far corner."""
         ball = cube_ball(k)
         zero_cells = [c for c in ball.basis.cells() if "1" in c]
-        res, cert = extend(ball, partial, zero_cells, self.choices.get((i, k)))
-        if res is None:
-            return {"step": k, "index": i, "certificate": cert}
-        self.data[(i, k)] = res.morphism
-        self.log.extend(res.choice_log(f"level {k} index {i}"))
-        return None
+        return extend(ball, self.glued_assembly(i, k - 1), zero_cells)
 
-    def solve_result(self, i, k):
-        """Solver blocks for the level-(i,k) extension given current data."""
-        partial = self.glued_assembly(i, k - 1)
-        ball = cube_ball(k)
-        zero_cells = [c for c in ball.basis.cells() if "1" in c]
-        return extend(ball, partial, zero_cells, self.choices.get((i, k)))
+    def with_level(self, i, k, res):
+        data = {**self.data, (i, k): res.morphism}
+        return _Tower(data, self.log + res.choice_log(f"level {k} index {i}"))
 
     def tainted(self):
         return any(m.tainted for m in self.data.values())
 
 
-def _final_assembly(tower, n):
+def _stages(tower, length, n):
+    """The (index, level) nodes still missing from tower, in build order."""
+    return [
+        (i, k)
+        for k in range(1, n + 1)
+        for i in range(1, length - k + 1)
+        if (i, k) not in tower.data
+    ]
+
+
+def _walk(tower, stages, options, budget=None):
+    """Every leaf of the choice tree below tower, depth first.
+
+    Each stage is solved once; options(stage, result) lists the choices
+    tried there, each turned into a child by SolveResult.instantiate.
+    Yields (tower, None) for a completed tower and (tower, failure) for a
+    stage without solution.  budget, if given, is charged once per state.
+    """
+    if budget is not None:
+        budget.charge()
+    if not stages:
+        yield tower, None
+        return
+    i, k = stages[0]
+    res, cert = tower.solve(i, k)
+    if res is None:
+        yield tower, {"step": k, "index": i, "certificate": cert}
+        return
+    for choice in options((i, k), res):
+        yield from _walk(tower.with_level(i, k, res.instantiate(choice)), stages[1:], options, budget)
+
+
+def _bracket(tower, length, n, nat, choices):
+    """The deterministic walk: the pinned choice or the particular solution per stage."""
+    pinned = choices or {}
+    leaf = _walk(tower, _stages(tower, length, n), lambda stage, res: [pinned.get(stage)])
+    tower, fail = next(leaf)
+    if fail is not None:
+        return BracketResult(NOT_CONSTRUCTIBLE, choice_log=tower.log, **fail)
     F = tower.glued_assembly(1, n)
-    return F
+    rep = obstruction(F, nat)
+    status = WINDOW_UNSOUND if (tower.tainted() or F.tainted) else DEFINED
+    return BracketResult(status, representative=rep, choice_log=tower.log)
 
 
 def toda_bracket(Q, seq, n, choices=None, nat=None):
@@ -152,22 +178,7 @@ def toda_bracket(Q, seq, n, choices=None, nat=None):
     if bad:
         raise UserInputError("the algebra is invalid", detail={"violations": bad[:5]})
     nat = nat or NatSystem(Q, n)
-    tower = _Tower(Q, seq, n, choices=choices)
-    for k in range(1, n + 1):
-        for i in range(1, seq.length - k + 1):
-            fail = tower.build_level(i, k)
-            if fail is not None:
-                return BracketResult(
-                    NOT_CONSTRUCTIBLE,
-                    step=fail["step"],
-                    index=fail["index"],
-                    certificate=fail["certificate"],
-                    choice_log=tower.log,
-                )
-    F = _final_assembly(tower, n)
-    rep = obstruction(F, nat)
-    status = WINDOW_UNSOUND if (tower.tainted() or F.tainted) else DEFINED
-    return BracketResult(status, representative=rep, choice_log=tower.log)
+    return _bracket(_Tower.start(seq), seq.length, n, nat, choices)
 
 
 def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
@@ -178,31 +189,20 @@ def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
     nat = nat or NatSystem(Q, n)
     budget = budget if budget is not None else EnumerationBudget()
-    stages = [(k, i) for k in range(1, n + 1) for i in range(1, seq.length - k + 1)]
     found = {}
 
-    def rec(idx, tower):
-        budget.charge()
-        if idx == len(stages):
-            F = _final_assembly(tower, n)
-            if tower.tainted() or F.tainted:
-                raise UserInputError("bracket enumeration crossed the degree window")
-            rep = obstruction(F, nat)
-            found.setdefault(rep.coords_key(), rep)
-            return
-        k, i = stages[idx]
-        res, cert = tower.solve_result(i, k)
-        if res is None:
-            return
-        for choice in enumerate_block_choices(res, budget):
-            sub = _Tower(Q, seq, n, choices={(i, k): choice})
-            sub.data = dict(tower.data)
-            fail = sub.build_level(i, k)
-            if fail is not None:
-                continue
-            rec(idx + 1, sub)
+    def every_choice(stage, res):
+        return enumerate_block_choices(res, budget)
 
-    rec(0, _Tower(Q, seq, n))
+    tower = _Tower.start(seq)
+    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), every_choice, budget):
+        if fail is not None:
+            continue
+        F = leaf.glued_assembly(1, n)
+        if leaf.tainted() or F.tainted:
+            raise UserInputError("bracket enumeration crossed the degree window")
+        rep = obstruction(F, nat)
+        found.setdefault(rep.coords_key(), rep)
     return [found[key] for key in sorted(found)]
 
 
@@ -220,25 +220,20 @@ def triple_indeterminacy(Q, seq, nat=None):
     X0, X1, X2, X3 = seq.modules
     first = _pt_entries(seq.maps[0])
     last = _pt_entries(seq.maps[2])
+    sides = (
+        (X2, X0, lambda elem: nat.act_pre(elem, last, X3)),
+        (X3, X1, lambda elem: nat.act_post(first, X0, elem)),
+    )
     gens = []
-    for j, i, r in nat.slots(X2, X0):
-        pres = nat.hom.presentation(r)
-        for t in range(pres.rank):
-            coords = tuple(int(s == t) for s in range(pres.rank))
-            h = nat.hom.class_from_coords(r, coords)
-            elem = nat.from_cycles(X2, X0, {(j, i): dict(h.rep)})
-            img = nat.act_pre(elem, last, X3)
-            if not img.is_zero():
-                gens.append(img)
-    for j, i, r in nat.slots(X3, X1):
-        pres = nat.hom.presentation(r)
-        for t in range(pres.rank):
-            coords = tuple(int(s == t) for s in range(pres.rank))
-            h = nat.hom.class_from_coords(r, coords)
-            elem = nat.from_cycles(X3, X1, {(j, i): dict(h.rep)})
-            img = nat.act_post(first, X0, elem)
-            if not img.is_zero():
-                gens.append(img)
+    for src, dst, act in sides:
+        for j, i, r in nat.slots(src, dst):
+            pres = nat.hom.presentation(r)
+            for t in range(pres.rank):
+                coords = tuple(int(s == t) for s in range(pres.rank))
+                h = nat.hom.class_from_coords(r, coords)
+                img = act(nat.from_cycles(src, dst, {(j, i): dict(h.rep)}))
+                if not img.is_zero():
+                    gens.append(img)
     seen = {}
     for g in gens:
         seen.setdefault(g.coords_key(), g)
@@ -266,50 +261,30 @@ def build_chain_complex(Q, seq, n, choices=None, search_budget=None, nat=None):
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
     nat = nat or NatSystem(Q, n)
     budget = search_budget if search_budget is not None else EnumerationBudget(2**14)
-    stages = [(k, i) for k in range(1, n + 1) for i in range(1, seq.length - k + 1)]
     windows = list(range(1, seq.length - n))  # F_i^n needs maps i .. i+n+1
-    last_failure = {}
 
-    def rec(idx, tower):
-        budget.charge()
-        if idx == len(stages):
-            for i in windows:
-                F = tower.glued_assembly(i, n)
-                rep = obstruction(F, nat)
-                if not rep.is_zero():
-                    last_failure.update(
-                        {"step": n + 1, "index": i, "certificate": {"obstruction": rep.coords_key()}}
-                    )
-                    return None
-            return tower
-        k, i = stages[idx]
-        res, cert = tower.solve_result(i, k)
-        if res is None:
-            last_failure.update({"step": k, "index": i, "certificate": cert})
-            return None
-        if choices and (i, k) in choices:
-            options = [choices[(i, k)]]
-        else:
-            options = enumerate_block_choices(res, budget)
-        for choice in options:
-            sub = _Tower(Q, seq, n)
-            sub.data = dict(tower.data)
-            sub.choices = {(i, k): choice}
-            sub.log = list(tower.log)
-            fail = sub.build_level(i, k)
-            if fail is not None:
-                last_failure.update(fail)
-                continue
-            done = rec(idx + 1, sub)
-            if done is not None:
-                return done
+    def options(stage, res):
+        if choices and stage in choices:
+            return [choices[stage]]
+        return enumerate_block_choices(res, budget)
+
+    def window_failure(tower):
+        for i in windows:
+            rep = obstruction(tower.glued_assembly(i, n), nat)
+            if not rep.is_zero():
+                return {"step": n + 1, "index": i, "certificate": {"obstruction": rep.coords_key()}}
         return None
 
-    tower = rec(0, _Tower(Q, seq, n))
-    if tower is None:
-        return None, dict(last_failure)
-    data = {key: mor for key, mor in tower.data.items() if key[1] >= 1}
-    return HigherChainComplex(seq, n, data, tower.log), None
+    tower = _Tower.start(seq)
+    last_failure = {}
+    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), options, budget):
+        if fail is None:
+            fail = window_failure(leaf)
+        if fail is None:
+            data = {key: mor for key, mor in leaf.data.items() if key[1] >= 1}
+            return HigherChainComplex(seq, n, data, leaf.log), None
+        last_failure = fail
+    return None, last_failure
 
 
 def adams_d(Q, complex_, beta, n, choices=None, nat=None):
@@ -337,19 +312,4 @@ def adams_d(Q, complex_, beta, n, choices=None, nat=None):
         for (i, k) in complex_.data
         if i + k <= n + 1 and k >= 1
     }
-    tower = _Tower(Q, aug, n, prescribed=prescribed, choices=choices)
-    for k in range(1, n + 1):
-        for i in range(1, aug.length - k + 1):
-            fail = tower.build_level(i, k)
-            if fail is not None:
-                return BracketResult(
-                    NOT_CONSTRUCTIBLE,
-                    step=fail["step"],
-                    index=fail["index"],
-                    certificate=fail["certificate"],
-                    choice_log=tower.log,
-                )
-    F = _final_assembly(tower, n)
-    rep = obstruction(F, nat)
-    status = WINDOW_UNSOUND if (tower.tainted() or F.tainted) else DEFINED
-    return BracketResult(status, representative=rep, choice_log=tower.log)
+    return _bracket(_Tower.start(aug, prescribed), aug.length, n, nat, choices)

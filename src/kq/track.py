@@ -382,6 +382,31 @@ class SolveResult:
     morphism: TrackMorphism
     blocks: list = field(default_factory=list)
 
+    def instantiate(self, choices=None):
+        """The member picked by choices, built from the already solved blocks.
+
+        choices: dict generator -> coefficient tuple over that block's kernel;
+        a generator left out takes the particular solution.
+        """
+        f = self.morphism
+        solved = {(c, b.generator) for b in self.blocks for c, _ in b.slots}
+        values = {k: v.copy() for k, v in f.values.items() if k not in solved}
+        blocks = []
+        for b in self.blocks:
+            sol = b.solutions
+            pick = tuple((choices or {}).get(b.generator, ()))
+            if pick and len(pick) != len(sol.kernel_basis):
+                raise UserInputError("choice vector has the wrong number of parameters")
+            x = sol.member(pick) if pick else sol.particular
+            blocks.append(SolveBlock(b.generator, b.slots, sol, pick if pick else (0,) * len(sol.kernel_basis)))
+            for t, (c, key) in enumerate(b.slots):
+                if x[t] % f.Q.m:
+                    cur = values.get((c, b.generator), ModElem.zero(f.dst, f.Q))
+                    cur = cur.add(ModElem(f.dst, f.Q, {key: x[t]}, f.window_tainted))
+                    values[(c, b.generator)] = cur
+        mor = TrackMorphism(f.ball, f.src, f.dst, f.Q, values, f.window_tainted).clean()
+        return SolveResult(mor, blocks)
+
     def choice_log(self, label):
         out = []
         for b in self.blocks:
@@ -401,7 +426,8 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None)
 
     prescribed: dict (cell, generator) -> ModElem on the known cells.
     choices: dict generator -> coefficient tuple over that block's kernel.
-    Returns SolveResult or (None, certificate).
+    Solves every block, then instantiates the chosen member.
+    Returns (SolveResult, None) or (None, certificate).
     """
     unknown_cells = sorted(unknown_cells, key=lambda c: (ball.basis.dim(c), c))
     unknown_set = set(unknown_cells)
@@ -413,7 +439,6 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None)
         known[(c, i)] = v
         tainted = tainted or v.tainted
 
-    values = {k: v.copy() for k, v in known.items() if not v.is_zero()}
     blocks = []
     for i in range(src.size):
         deg = src.degree(i)
@@ -479,18 +504,10 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None)
                 "reason": "no solution to the chain conditions",
             }
             return None, cert
-        pick = tuple((choices or {}).get(i, ()))
-        if pick and len(pick) != len(sol.kernel_basis):
-            raise UserInputError("choice vector has the wrong number of parameters")
-        x = sol.member(pick) if pick else sol.particular
-        blocks.append(SolveBlock(i, slots, sol, pick if pick else (0,) * len(sol.kernel_basis)))
-        for t, (c, key) in enumerate(slots):
-            if x[t] % Q.m:
-                cur = values.get((c, i), ModElem.zero(dst, Q))
-                cur = cur.add(ModElem(dst, Q, {key: x[t]}, tainted))
-                values[(c, i)] = cur
-    mor = TrackMorphism(ball, src, dst, Q, values, tainted).clean()
-    return SolveResult(mor, blocks), None
+        blocks.append(SolveBlock(i, slots, sol, ()))
+    values = {k: v for k, v in known.items() if not v.is_zero()}
+    unsolved = SolveResult(TrackMorphism(ball, src, dst, Q, values, tainted), blocks)
+    return unsolved.instantiate(choices), None
 
 
 def extend(ball, partial, zero_cells, choices=None):

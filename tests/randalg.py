@@ -164,14 +164,12 @@ def budget_feasible(q, seq, cap=2**12):
     """Whether the oracle's total choice space fits under the cap."""
     from kq.toda import _Tower
 
-    tower = _Tower(q, seq, 1)
+    tower = _Tower.start(seq)
     total = 1
     for i in (1, 2):
-        res, cert = tower.solve_result(i, 1)
+        res, cert = tower.solve(i, 1)
         if res is None:
             return False
         total *= choice_space_size(res)
-        fail = tower.build_level(i, 1)
-        if fail is not None:
-            return False
+        tower = tower.with_level(i, 1, res)
     return total <= cap

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import kq.toda
 from kq.chain_algebra import GradedModule, homology
 from kq.cubical import point_ball
 from kq.errors import UserInputError
@@ -18,6 +21,7 @@ from kq.toda import (
 from kq.track import pt_morphism
 
 from conftest import make_massey_algebra
+from randalg import bracket_instances, budget_feasible, random_valid_algebra
 
 
 @pytest.fixture
@@ -350,3 +354,40 @@ def test_sequence_composability_validated(qm):
     fa = pt_morphism(pt, qm, L1, L0, {(0, 0): {"a": 1}})
     with pytest.raises(UserInputError):
         MorphismSequence.of([L0, L0, L0], [fa, fa])
+
+
+def _instance_with_free_parameters():
+    rng = random.Random(2024)
+    for _ in range(60):
+        q = random_valid_algebra(rng)
+        for seq in bracket_instances(q, rng, want=2):
+            if not budget_feasible(q, seq):
+                continue
+            if any(e["free_parameters"] for e in toda_bracket(q, seq, 1).choice_log):
+                return q, seq
+    raise AssertionError("no random instance with free parameters")
+
+
+@pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
+def test_walk_solves_each_state_once(walk, monkeypatch):
+    q, seq = _instance_with_free_parameters()
+    calls = {"extend": 0, "enumerate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kq.toda, "extend", counted("extend", kq.toda.extend))
+    monkeypatch.setattr(
+        kq.toda, "enumerate_block_choices", counted("enumerate", kq.toda.enumerate_block_choices)
+    )
+    if walk == "oracle":
+        oracle_bracket_set(q, seq, 1, EnumerationBudget(2**14))
+    else:
+        build_chain_complex(q, seq, 1, search_budget=EnumerationBudget(2**14))
+    # at order 1 every stage is solvable, so each non-leaf state enumerates its choices once
+    assert calls["enumerate"] > 1
+    assert calls["extend"] == calls["enumerate"]

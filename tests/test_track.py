@@ -13,6 +13,7 @@ from kq.cubical import (
 from kq.errors import UserInputError
 from kq.oracle_support import (
     EnumerationBudget,
+    enumerate_block_choices,
     enumerate_self_homotopies,
     obstruction_via_action,
     random_morphism,
@@ -39,13 +40,14 @@ from kq.track import (
     restrict,
     restrict_to_ball,
     sigma_homotopy,
+    solve_for_values,
     obstruction,
     tensor,
     zero_morphism,
     TrackMorphism,
 )
 
-from conftest import make_massey_algebra
+from conftest import make_massey_algebra, make_z4_algebra
 
 
 @pytest.fixture
@@ -454,3 +456,40 @@ def test_self_homotopy_classes_below_top(two_level_algebra):
             classes.append(w)
     nat1 = NatSystem(q, 1)
     assert len(classes) == nat1.size(L, M)
+
+
+def _z4_solves():
+    """Solves over Z/4 with free parameters: all cells unknown, and one endpoint given."""
+    q = make_z4_algebra()
+    L = GradedModule.of([("u", 2), ("v", 1)])
+    M = GradedModule.of([("w", 0)])
+    ball = cube_ball(1)
+    given = {("0", 0): ModElem(M, q, {(0, "b"): 1}), ("0", 1): ModElem(M, q, {(0, "a"): 1})}
+    return [
+        (ball, q, L, M, {}, list(ball.basis.cells())),
+        (ball, q, L, M, given, ["1", "*"]),
+    ]
+
+
+def test_instantiate_matches_solving_with_choices():
+    for args in _z4_solves():
+        res, cert = solve_for_values(*args)
+        assert res is not None
+        assert choice_space_size(res) > 1
+        for choices in enumerate_block_choices(res):
+            direct, _ = solve_for_values(*args, choices)
+            replay = res.instantiate(choices)
+            assert direct.morphism.values == replay.morphism.values
+            assert direct.choice_log("s") == replay.choice_log("s")
+            assert replay.morphism.check() == []
+
+
+def test_choice_vector_of_wrong_length_rejected():
+    args = _z4_solves()[0]
+    res, _ = solve_for_values(*args)
+    width = len(res.blocks[0].solutions.kernel_basis)
+    bad = {0: (1,) * (width + 1)}
+    with pytest.raises(UserInputError):
+        solve_for_values(*args, bad)
+    with pytest.raises(UserInputError):
+        res.instantiate(bad)
