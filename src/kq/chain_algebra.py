@@ -13,6 +13,7 @@ exact Smith reduction.  Natural-system elements (matrices over H_k between
 free graded modules) live here as well.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
@@ -175,9 +176,35 @@ class ChainAlgebra:
             if got != {x: 1}:
                 bad("unit", (x,), f"{x}*1 = {got}")
 
+        # mul_of(x, y) is nonzero only for a declared pair or a unit row, so a
+        # Leibniz pair or an associativity triple in which no such product
+        # occurs has {} on both sides; only the others are visited, in the
+        # order of the exhaustive loops.  Built from the current tables, which
+        # callers may have edited since __init__.
+        partners = defaultdict(set)  # x -> the y with x*y possibly nonzero
+        makers = defaultdict(set)  # z -> the pairs (x, y) whose x*y may contain z
+        hit_by = defaultdict(set)  # y -> the b with y in d(b)
+        for (x, y), row in self.mul.items():
+            partners[x].add(y)
+            for z in row:
+                makers[z].add((x, y))
+        for x in self.names:
+            partners[self.unit].add(x)
+            partners[x].add(self.unit)
+            makers[x].update(((self.unit, x), (x, self.unit)))
+        for b, row in self.diff.items():
+            for y in row:
+                hit_by[y].add(b)
+        index = self._index.__getitem__
+
         for a in self.names:
             ra, sa = self.bidegree[a]
-            for b in self.names:
+            near = set(partners[a])
+            for x in self.d_of(a):
+                near |= partners[x]
+            for y in partners[a]:
+                near |= hit_by[y]
+            for b in sorted(near, key=index):
                 rb, sb = self.bidegree[b]
                 if ra + rb > self.r_max or sa + sb > self.n + 1:
                     continue
@@ -192,24 +219,26 @@ class ChainAlgebra:
 
         for a in self.names:
             ra, sa = self.bidegree[a]
-            for b in self.names:
+            near = set()
+            for b in partners[a]:
+                for x in self.mul_of(a, b)[0]:
+                    near.update((b, c) for c in partners[x])
+            for y in partners[a]:
+                near |= makers[y]
+            for b, c in sorted(near, key=lambda bc: (index(bc[0]), index(bc[1]))):
                 rb, sb = self.bidegree[b]
                 if ra + rb > self.r_max or sa + sb > self.n:
                     continue
                 ab, _ = self.mul_of(a, b)
-                for c in self.names:
-                    rc, sc = self.bidegree[c]
-                    if ra + rb + rc > self.r_max or sa + sb + sc > self.n:
-                        continue
-                    bc, _ = self.mul_of(b, c)
-                    left, _ = self.elem_mul(ab, {c: 1})
-                    right, _ = self.elem_mul({a: 1}, bc)
-                    if left != right:
-                        bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
+                rc, sc = self.bidegree[c]
+                if ra + rb + rc > self.r_max or sa + sb + sc > self.n:
+                    continue
+                bc, _ = self.mul_of(b, c)
+                left, _ = self.elem_mul(ab, {c: 1})
+                right, _ = self.elem_mul({a: 1}, bc)
+                if left != right:
+                    bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
         return report
-
-    def is_valid(self):
-        return not self.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +376,13 @@ def truncate(Q, n2):
         return Q
     _, k = prime_power(Q.m)
     elements = []
-    rename = {}
+    lifts = {}  # new basis name -> (representative in Q, r, s)
     for name in Q.names:
         r, s = Q.bidegree[name]
         if s < n2:
             elements.append((name, r, s))
-            rename[name] = {name: 1}
+            lifts[name] = {name: 1}, r, s
+    kept = set(lifts)
     projections = {}
     for r in range(Q.r_max + 1):
         basis = Q.basis_at(r, n2)
@@ -373,9 +403,10 @@ def truncate(Q, n2):
         projections[r] = (basis, pres)
         for idx, rep in enumerate(pres.reps):
             cname = _class_name(basis, rep)
-            if cname in rename:
+            if cname in kept:
                 cname = f"{cname}@{r}.{idx}"
             elements.append((cname, r, n2))
+            lifts[cname] = {basis[i]: c for i, c in enumerate(rep) if c}, r, n2
 
     names_at = {}
     for name, r, s in elements:
@@ -396,21 +427,11 @@ def truncate(Q, n2):
                     out[name] = c
         return {x: v for x, v in out.items() if v}
 
-    def lift(name):
-        """A representative of a new basis element in the original algebra."""
-        r, s = next((rr, ss) for nn, rr, ss in elements if nn == name)
-        if s < n2:
-            return {name: 1}, r, s
-        basis, pres = projections[r]
-        idx = names_at[(r, n2)].index(name)
-        rep = pres.reps[idx]
-        return {basis[i]: c for i, c in enumerate(rep) if c}, r, s
-
     diff = {}
     mul = {}
     new_names = [e[0] for e in elements]
     for name in new_names:
-        vec, r, s = lift(name)
+        vec, r, s = lifts[name]
         if s == 0:
             continue
         img = Q.elem_d(vec)
@@ -418,9 +439,9 @@ def truncate(Q, n2):
         if row:
             diff[name] = row
     for a in new_names:
-        va, ra, sa = lift(a)
+        va, ra, sa = lifts[a]
         for b in new_names:
-            vb, rb, sb = lift(b)
+            vb, rb, sb = lifts[b]
             if ra + rb > Q.r_max or sa + sb > n2:
                 continue
             prod, _ = Q.elem_mul(va, vb)

@@ -207,8 +207,16 @@ def _jsonable(obj):
     return repr(obj)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a user error, not a usage exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UserInputError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="engine",
         description="Exact higher Toda brackets and matrix Massey products over Z/p^k.",
     )
@@ -234,8 +242,26 @@ def build_parser():
     return parser
 
 
+def _user_error(command, exc, out_path):
+    _emit(
+        {
+            "command": command,
+            "status": "error",
+            "error": str(exc),
+            "detail": _jsonable(exc.detail),
+            "kind": "user",
+        },
+        out_path,
+    )
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UserInputError as exc:  # the command line itself did not parse
+        return _user_error(None, exc, None)
     try:
         result = run(args)
     except BudgetExceededError as exc:
@@ -243,18 +269,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except UserInputError as exc:
-        _emit(
-            {
-                "command": args.command,
-                "status": "error",
-                "error": str(exc),
-                "detail": _jsonable(exc.detail),
-                "kind": "user",
-            },
-            args.out,
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _user_error(args.command, exc, args.out)
     except Exception as exc:  # a bug in the engine: still one JSON document, exit 2
         traceback.print_exc()
         _emit(

@@ -300,3 +300,26 @@ def test_internal_error_is_json_exit_2(exc, monkeypatch, capsys):
     assert doc["status"] == "error"
     assert doc["kind"] == "internal"
     assert str(exc) in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, mentions",
+    [
+        (["validate", "--algebra", str(FIXTURES / "massey_algebra.json"), "--k", "foo"], "invalid int value"),
+        (["validate"], "--algebra"),
+        (["bogus", "--algebra", str(FIXTURES / "massey_algebra.json")], "invalid choice"),
+    ],
+    ids=["bad-int", "missing-algebra", "unknown-command"],
+)
+def test_malformed_command_line_is_user_error(argv, mentions, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    _assert_user_error(code, out, mentions)
+    assert json.loads(out)["command"] is None
+    assert "usage:" in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -1,0 +1,145 @@
+"""ChainAlgebra.validate against the exhaustive Leibniz and associativity loops.
+
+validate visits only the pairs and triples in which some product can be
+nonzero.  The reference below visits every pair and triple, so the two
+reports must agree entry for entry, order included.
+"""
+
+import importlib.util
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import make_massey_algebra
+from kq.chain_algebra import ChainAlgebra, vec_add
+from kq.documents import parse_algebra
+from test_acceptance import broken_variants
+
+_spec = importlib.util.spec_from_file_location(
+    "universal", Path(__file__).resolve().parent.parent / "bench" / "universal.py"
+)
+universal = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(universal)
+
+
+def exhaustive_leibniz_associativity(q):
+    """The Leibniz and associativity violations, every pair and triple visited."""
+    report = []
+
+    def bad(axiom, witness, detail):
+        report.append({"axiom": axiom, "witness": witness, "detail": detail})
+
+    for a in q.names:
+        ra, sa = q.bidegree[a]
+        for b in q.names:
+            rb, sb = q.bidegree[b]
+            if ra + rb > q.r_max or sa + sb > q.n + 1:
+                continue
+            ab, _ = q.mul_of(a, b)
+            lhs = q.elem_d(ab)
+            da_b, _ = q.elem_mul(q.d_of(a), {b: 1})
+            a_db, _ = q.elem_mul({a: 1}, q.d_of(b))
+            sign = -1 if sa % 2 else 1
+            rhs = vec_add(da_b, a_db, scale=sign, m=q.m)
+            if lhs != rhs:
+                bad("leibniz", (a, b), f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
+
+    for a in q.names:
+        ra, sa = q.bidegree[a]
+        for b in q.names:
+            rb, sb = q.bidegree[b]
+            if ra + rb > q.r_max or sa + sb > q.n:
+                continue
+            ab, _ = q.mul_of(a, b)
+            for c in q.names:
+                rc, sc = q.bidegree[c]
+                if ra + rb + rc > q.r_max or sa + sb + sc > q.n:
+                    continue
+                bc, _ = q.mul_of(b, c)
+                left, _ = q.elem_mul(ab, {c: 1})
+                right, _ = q.elem_mul({a: 1}, bc)
+                if left != right:
+                    bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
+    return report
+
+
+def reference(q):
+    """validate's report with its last two sections recomputed exhaustively.
+
+    The degree, d^2 and unit sections come first and are not restricted, so
+    they are taken from validate itself.
+    """
+    head = [v for v in q.validate() if v["axiom"] not in ("leibniz", "associativity")]
+    return head + exhaustive_leibniz_associativity(q)
+
+
+def _algebra(doc):
+    return parse_algebra(doc)[0]
+
+
+@pytest.mark.parametrize("free_cycle", [False, True])
+@pytest.mark.parametrize("modulus", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_universal_algebras_match_reference(order, modulus, free_cycle):
+    rng = random.Random(1000 * order + 10 * modulus + free_cycle)
+    doc = universal.algebra_doc(order, modulus, rng, free_cycle=free_cycle)
+    q = _algebra(doc)
+    assert q.validate() == reference(q) == []
+    for _ in range(3):
+        bad = _algebra(universal.corrupt(doc, rng))
+        want = reference(bad)
+        assert any(v["axiom"] in ("leibniz", "associativity") for v in want)
+        assert bad.validate() == want
+
+
+@pytest.mark.parametrize("index", range(len(broken_variants())))
+def test_broken_variants_match_reference(index):
+    q, _, _ = broken_variants()[index]
+    assert q.validate() == reference(q)
+
+
+def _pair_cases():
+    """Hand-made breakages, each seen by one way a pair or triple can be nonzero."""
+    out = {}
+
+    # p and q are cycles but their declared product e is not: only the
+    # product p*q itself makes d(p*q) nonzero.
+    elements = [("1", 0, 0), ("p", 1, 0), ("q", 1, 1), ("e", 2, 1), ("f", 2, 0)]
+    out["declared-product-of-cycles"] = ChainAlgebra(
+        2, 1, 2, elements, "1", {"e": {"f": 1}}, {("p", "q"): {"e": 1}}
+    )
+
+    # a product that should be zero: b*a = ab breaks (b*a)*c = a*(b*c)
+    q = make_massey_algebra()
+    q.mul[("b", "a")] = {"ab": 1}
+    out["declared-product-that-should-be-zero"] = q
+
+    # x*c missing: only d(x)*c = ab*c is nonzero in Leibniz for (x, c)
+    q = make_massey_algebra()
+    del q.mul[("x", "c")]
+    out["missing-product-seen-through-da"] = q
+
+    # a*y missing: only a*d(y) = a*bc is nonzero in Leibniz for (a, y)
+    q = make_massey_algebra()
+    del q.mul[("a", "y")]
+    out["missing-product-seen-through-db"] = q
+
+    # 1*a = 0 breaks (1*a)*b = 1*(a*b), where 1*ab is only the unit law
+    q = make_massey_algebra()
+    q.mul[("1", "a")] = {}
+    out["broken-left-unit-row"] = q
+
+    # ab*1 = 0 breaks d(x*1) and (a*b)*1 = a*(b*1)
+    q = make_massey_algebra()
+    q.mul[("ab", "1")] = {}
+    out["broken-right-unit-row"] = q
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(_pair_cases()))
+def test_hand_made_breakages_match_reference(label):
+    q = _pair_cases()[label]
+    want = reference(q)
+    assert any(v["axiom"] in ("leibniz", "associativity") for v in want)
+    assert q.validate() == want
