@@ -23,7 +23,6 @@ from .cubical import (
     ChainBasis,
     CubicalComplex,
     CylinderComplex,
-    boundary_matrix,
     corner_ball,
     cube_ball,
     facet_ball,
@@ -39,11 +38,7 @@ from .errors import (
 )
 from .exact_linalg import (
     AffineSolutionSet,
-    SparseMatrix,
     howell_form,
-    quotient_basis,
-    smith_normal_form,
-    solve,
 )
 from .toda import (
     BracketResult,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from .errors import InternalInvariantError, UserInputError
-from .exact_linalg import SparseMatrix
 
 FREE = "*"
 
@@ -210,22 +209,6 @@ def is_regular_sequence(pieces):
             return False
         acc = acc.union(nxt)
     return True
-
-
-def boundary_matrix(complex_, k, m):
-    """Matrix of the degree-k boundary in the canonical cell order, mod m."""
-    rows = complex_.cells_of_dim(k - 1)
-    cols = complex_.cells_of_dim(k)
-    idx = {w: i for i, w in enumerate(rows)}
-    entries = []
-    for j, w in enumerate(cols):
-        acc = {}
-        for coeff, f in boundary_word(w):
-            acc[f] = acc.get(f, 0) + coeff
-        for f, c in acc.items():
-            if c % m:
-                entries.append((idx[f], j, c))
-    return SparseMatrix.from_entries(len(rows), len(cols), m, entries)
 
 
 # ---------------------------------------------------------------------------

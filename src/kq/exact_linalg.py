@@ -1,21 +1,22 @@
 """Exact linear algebra over Z/m with m a prime power.
 
-Everything in the engine reduces to affine systems over Z/p^k.  Over a local
-ring like Z/p^k Smith reduction needs no gcd iteration: once a pivot of
-minimal p-adic valuation is chosen, every remaining entry is an exact
-multiple of it.  The pivot rule is fixed (first unit in row-major order,
-otherwise the entry of minimal valuation at lowest index) so that every
-result, including particular solutions and kernel bases, is reproducible
-bit for bit.
+Everything in the engine reduces to affine systems over Z/p^k.  They are
+solved through the Howell form, the analogue of reduced row echelon form for
+Z/m, which is unique for a given row span: kernel bases are Howell bases and
+particular solutions are canonical coset representatives, so every solution
+set is reproducible bit for bit whatever way it was found.
 
-Kernel bases and submodule generators are canonicalized through the Howell
-form, the analogue of reduced row echelon form for Z/m, which is unique for
-a given row span.
+Module presentations use a row-only Smith reduction.  Over a local ring like
+Z/p^k it needs no gcd iteration: once a pivot of minimal p-adic valuation is
+chosen, every remaining entry is an exact multiple of it.  The pivot rule is
+fixed (first unit in row-major order, otherwise the entry of minimal
+valuation at lowest index), so representatives and coordinate maps are
+reproducible too.
 """
 
 from dataclasses import dataclass, field
 
-from .errors import ModulusMismatchError, UserInputError
+from .errors import UserInputError
 
 
 def prime_power(m):
@@ -53,87 +54,7 @@ def padic_val(x, p, k):
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable sparse matrix over Z/m with canonical row-major entry order."""
-
-    rows: int
-    cols: int
-    m: int
-    entries: tuple  # tuple of (row, col, value), sorted, no zeros
-
-    @staticmethod
-    def from_entries(rows, cols, m, entries):
-        cleaned = {}
-        for i, j, v in entries:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise UserInputError(f"entry ({i},{j}) outside {rows}x{cols}")
-            v = v % m
-            if v:
-                if (i, j) in cleaned:
-                    raise UserInputError(f"duplicate entry at ({i},{j})")
-                cleaned[(i, j)] = v
-        ordered = tuple((i, j, cleaned[(i, j)]) for (i, j) in sorted(cleaned))
-        return SparseMatrix(rows, cols, m, ordered)
-
-    @staticmethod
-    def from_dense(dense, m):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        ent = [(i, j, dense[i][j]) for i in range(rows) for j in range(cols)]
-        return SparseMatrix.from_entries(rows, cols, m, ent)
-
-    @staticmethod
-    def identity(n, m):
-        return SparseMatrix.from_entries(n, n, m, [(i, i, 1) for i in range(n)])
-
-    @staticmethod
-    def zeros(rows, cols, m):
-        return SparseMatrix(rows, cols, m, ())
-
-    def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for i, j, v in self.entries:
-            dense[i][j] = v
-        return dense
-
-    def _check(self, other):
-        if self.m != other.m:
-            raise ModulusMismatchError(f"moduli {self.m} and {other.m} differ")
-
-    def matmul(self, other):
-        self._check(other)
-        if self.cols != other.rows:
-            raise UserInputError("dimension mismatch in matmul")
-        acc = {}
-        by_row = {}
-        for i, j, v in other.entries:
-            by_row.setdefault(i, []).append((j, v))
-        for i, j, v in self.entries:
-            for jj, w in by_row.get(j, ()):
-                acc[(i, jj)] = (acc.get((i, jj), 0) + v * w) % self.m
-        return SparseMatrix.from_entries(
-            self.rows, other.cols, self.m, [(i, j, v) for (i, j), v in acc.items()]
-        )
-
-    def apply(self, vec):
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise UserInputError("dimension mismatch in apply")
-        out = [0] * self.rows
-        for i, j, v in self.entries:
-            out[i] = (out[i] + v * vec[j]) % self.m
-        return tuple(out)
-
-    def is_diagonal(self):
-        return all(i == j for i, j, _ in self.entries)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
+# row-only Smith reduction
 
 
 def _swap_rows(M, a, b):
@@ -145,21 +66,20 @@ def _swap_cols(M, a, b):
         row[a], row[b] = row[b], row[a]
 
 
-def _snf_dense(A, rows, cols, m):
-    """Dense SNF over Z/p^k.
+def _smith_rows(A, rows, cols, m):
+    """Row half of a dense Smith reduction over Z/p^k.
 
-    Returns (U, D, V, Uinv, Vinv) as dense lists with U*A*V = D, the diagonal
-    of D consisting of p-powers in nondecreasing valuation.
+    Returns (vals, U, Uinv): U*A, with its columns permuted, is upper
+    triangular with diagonal p**vals[0], p**vals[1], ... in nondecreasing
+    valuation, and zero rows below them.  Only the entries below each pivot
+    are cleared; the column transform is never formed.
     """
     p, k = prime_power(m)
     D = [[A[i][j] % m for j in range(cols)] for i in range(rows)]
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     Ui = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    Vi = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    t = 0
-    while t < min(rows, cols):
+    vals = []
+    for t in range(min(rows, cols)):
         best = None  # (val, i, j)
         for i in range(t, rows):
             for j in range(t, cols):
@@ -181,53 +101,25 @@ def _snf_dense(A, rows, cols, m):
             _swap_cols(Ui, t, pi)
         if pj != t:
             _swap_cols(D, t, pj)
-            _swap_cols(V, t, pj)
-            _swap_rows(Vi, t, pj)
         # normalize the unit part so the pivot becomes exactly p**val
-        piv = D[t][t]
-        w = piv // (p**val)
+        pv = p**val
+        w = D[t][t] // pv
         winv = pow(w, -1, m)
-        for j in range(cols):
-            D[t][j] = (D[t][j] * winv) % m
-        for j in range(rows):
-            U[t][j] = (U[t][j] * winv) % m
+        D[t] = [(x * winv) % m for x in D[t]]
+        U[t] = [(x * winv) % m for x in U[t]]
         for i in range(rows):
             Ui[i][t] = (Ui[i][t] * w) % m
-        pv = p**val
-        # clear the pivot column; exact division since val is minimal
-        for i in range(rows):
-            if i == t or D[i][t] == 0:
+        # clear below the pivot; exact division since val is minimal
+        for i in range(t + 1, rows):
+            if D[i][t] == 0:
                 continue
             q = D[i][t] // pv
-            for j in range(cols):
-                D[i][j] = (D[i][j] - q * D[t][j]) % m
-            for j in range(rows):
-                U[i][j] = (U[i][j] - q * U[t][j]) % m
+            D[i] = [(x - q * y) % m for x, y in zip(D[i], D[t])]
+            U[i] = [(x - q * y) % m for x, y in zip(U[i], U[t])]
             for ii in range(rows):
                 Ui[ii][t] = (Ui[ii][t] + q * Ui[ii][i]) % m
-        # clear the pivot row
-        for j in range(cols):
-            if j == t or D[t][j] == 0:
-                continue
-            q = D[t][j] // pv
-            for i in range(rows):
-                D[i][j] = (D[i][j] - q * D[i][t]) % m
-            for i in range(cols):
-                V[i][j] = (V[i][j] - q * V[i][t]) % m
-            for jj in range(cols):
-                Vi[t][jj] = (Vi[t][jj] + q * Vi[j][jj]) % m
-        t += 1
-    return U, D, V, Ui, Vi
-
-
-def smith_normal_form(A):
-    """U, D, V over Z/m with U*A*V = D diagonal, U and V invertible mod m."""
-    U, D, V, _, _ = _snf_dense(A.to_dense(), A.rows, A.cols, A.m)
-    return (
-        SparseMatrix.from_dense(U, A.m) if A.rows else SparseMatrix.zeros(0, 0, A.m),
-        SparseMatrix.from_dense(D, A.m) if A.rows and A.cols else SparseMatrix.zeros(A.rows, A.cols, A.m),
-        SparseMatrix.from_dense(V, A.m) if A.cols else SparseMatrix.zeros(0, 0, A.m),
-    )
+        vals.append(val)
+    return vals, U, Ui
 
 
 # ---------------------------------------------------------------------------
@@ -333,53 +225,35 @@ class AffineSolutionSet:
 def solve_dense(A, b, m, cols=None):
     """Solve A x = b over Z/m for dense A; returns AffineSolutionSet or None.
 
-    cols must be passed explicitly when A has no rows.
+    cols must be passed explicitly when A has no rows.  Rows of A that are
+    zero only check their right-hand side.  The Howell form of the rows
+    (A e_j, e_j) spans the graph {(Ax, x)}: reducing (b, 0) by it leaves
+    (0, -x) for a solution x exactly when one exists, and its rows that
+    start in the x part span the kernel.
     """
     rows = len(A)
     if cols is None:
         cols = len(A[0]) if rows else 0
     if len(b) != rows:
         raise UserInputError("dimension mismatch in solve")
-    if rows == 0:
-        basis = howell_form([tuple(int(i == j) for i in range(cols)) for j in range(cols)], cols, m)
-        return AffineSolutionSet(tuple([0] * cols), basis, m)
-    if cols == 0:
-        if any(x % m for x in b):
+    live = []
+    for i in range(rows):
+        if any(x % m for x in A[i]):
+            live.append(i)
+        elif b[i] % m:
             return None
-        return AffineSolutionSet((), (), m)
-    p, k = prime_power(m)
-    U, D, V, _, _ = _snf_dense(A, rows, cols, m)
-    ub = [sum(U[i][j] * b[j] for j in range(rows)) % m for i in range(rows)]
-    npiv = 0
-    while npiv < min(rows, cols) and D[npiv][npiv]:
-        npiv += 1
-    for i in range(npiv, rows):
-        if ub[i] % m:
-            return None
-    y = [0] * cols
-    kernel = []
-    for t in range(npiv):
-        a = padic_val(D[t][t], p, k)
-        if ub[t] % (p**a):
-            return None
-        y[t] = (ub[t] // (p**a)) % (p ** (k - a))
-        if a > 0:
-            kernel.append([(p ** (k - a)) if i == t else 0 for i in range(cols)])
-    for j in range(npiv, cols):
-        kernel.append([int(i == j) for i in range(cols)])
-    x = [sum(V[i][j] * y[j] for j in range(cols)) % m for i in range(cols)]
-    kern_vecs = [
-        tuple(sum(V[i][j] * g[j] for j in range(cols)) % m for i in range(cols))
-        for g in kernel
-    ]
-    basis = howell_form(kern_vecs, cols, m)
-    part = howell_reduce(x, basis, m)
+    r = len(live)
+    graph = howell_form(
+        [[A[i][j] for i in live] + [int(t == j) for t in range(cols)] for j in range(cols)],
+        r + cols,
+        m,
+    )
+    red = howell_reduce([b[i] for i in live] + [0] * cols, graph, m)
+    if any(red[:r]):
+        return None
+    basis = howell_form([g[r:] for g in graph if _leading(g) >= r], cols, m)
+    part = howell_reduce([-x for x in red[r:]], basis, m)
     return AffineSolutionSet(part, basis, m)
-
-
-def solve(A, b):
-    """solve_dense for SparseMatrix inputs."""
-    return solve_dense(A.to_dense(), list(b), A.m)
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +312,6 @@ class Presentation:
                 out[t] = (out[t] + c * rep[t]) % self.m
         return tuple(out)
 
-    def is_zero_class(self, vec):
-        return not any(self.coords(vec))
-
-    def classes_equal(self, v1, v2):
-        return self.coords(v1) == self.coords(v2)
-
     def all_coords(self):
         """Deterministic enumeration of all coordinate tuples."""
         p, _ = prime_power(self.m)
@@ -461,30 +329,19 @@ def quotient_presentation(ambient_rank, relation_vectors, m):
     """Present (Z/m)^ambient_rank modulo the span of the relation vectors."""
     p, k = prime_power(m)
     rels = [list(v) for v in relation_vectors]
-    if ambient_rank == 0:
-        return Presentation(m, 0, (), (), ())
-    if not rels:
-        rels = [[0] * ambient_rank]
     R = [[rels[g][i] % m for g in range(len(rels))] for i in range(ambient_rank)]
-    U, D, V, Ui, Vi = _snf_dense(R, ambient_rank, len(rels), m)
+    vals, U, Ui = _smith_rows(R, ambient_rank, len(rels), m)
     order_exps = []
     reps = []
     proj = []
     for i in range(ambient_rank):
-        d = D[i][i] if i < min(ambient_rank, len(rels)) else 0
-        a = padic_val(d, p, k) if d else k
+        a = vals[i] if i < len(vals) else k
         if a == 0:
             continue
         order_exps.append(a)
         reps.append(tuple(Ui[t][i] for t in range(ambient_rank)))
         proj.append(tuple(U[i][t] for t in range(ambient_rank)))
     return Presentation(m, ambient_rank, tuple(order_exps), tuple(reps), tuple(proj))
-
-
-def quotient_basis(subspace_gens, ambient_rank, m):
-    """(representatives, projection) for ambient/(span of gens), per the contract."""
-    pres = quotient_presentation(ambient_rank, subspace_gens, m)
-    return list(pres.reps), pres.coords
 
 
 def subquotient_presentation(sub_gens, relation_vectors, ambient_rank, m):

@@ -510,7 +510,7 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None)
     return unsolved.instantiate(choices), None
 
 
-def extend(ball, partial, zero_cells, choices=None):
+def extend(ball, partial, zero_cells):
     """Extension of a partial morphism by zero on the opposite subcomplex.
 
     partial is a morphism over a subcomplex of ball; zero_cells carry the
@@ -530,7 +530,7 @@ def extend(ball, partial, zero_cells, choices=None):
                     }
             prescribed[(c, i)] = ModElem.zero(partial.dst, partial.Q)
     unknown = [c for c in ball.basis.cells() if c not in partial.ball.basis.dims and c not in set(zero_cells)]
-    return solve_for_values(ball, partial.Q, partial.src, partial.dst, prescribed, unknown, choices)
+    return solve_for_values(ball, partial.Q, partial.src, partial.dst, prescribed, unknown)
 
 
 def homotopic(f, g, rel=None, choices=None):

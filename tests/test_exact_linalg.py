@@ -4,18 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_massey_algebra, make_z4_algebra
+from kq.chain_algebra import GradedModule, ModElem
 from kq.errors import ModulusMismatchError, UserInputError
 from kq.exact_linalg import (
     AffineSolutionSet,
-    SparseMatrix,
+    _smith_rows,
     howell_form,
     howell_reduce,
     in_span,
     prime_power,
-    quotient_basis,
     quotient_presentation,
-    smith_normal_form,
-    solve,
     solve_dense,
     subquotient_presentation,
 )
@@ -50,36 +49,58 @@ def test_prime_power():
 
 
 def test_modulus_mismatch_rejected():
-    a = SparseMatrix.identity(2, 2)
-    b = SparseMatrix.identity(2, 4)
+    module = GradedModule.of([("g", 0)])
+    a = ModElem.generator(module, make_massey_algebra(), 0)
+    b = ModElem.generator(module, make_z4_algebra(), 0)
     with pytest.raises(ModulusMismatchError):
-        a.matmul(b)
+        a.add(b)
+
+
+def matmul(A, B, m):
+    return [[sum(x * y for x, y in zip(row, col)) % m for col in zip(*B)] for row in A]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def check_row_smith(A, m):
+    """U*A is upper triangular up to a column permutation, pivots p**vals."""
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    vals, U, Ui = _smith_rows(A, rows, cols, m)
+    p, _ = prime_power(m)
+    assert matmul(U, Ui, m) == identity(rows)
+    UA = matmul(U, A, m) if cols else [[] for _ in range(rows)]
+    assert vals == sorted(vals)
+    used = set()
+    for t, a in enumerate(vals):
+        assert all(x % p**a == 0 for x in UA[t])
+        below_zero = [j for j in range(cols) if all(UA[i][j] == 0 for i in range(t + 1, rows))]
+        piv = [j for j in below_zero if j not in used and UA[t][j] == p**a]
+        assert piv
+        used.add(piv[0])
+    assert all(not any(row) for row in UA[len(vals):])
+    return vals, U, Ui
 
 
 def test_snf_already_diagonal_z4():
-    a = SparseMatrix.from_dense([[2]], 4)
-    u, d, v = smith_normal_form(a)
-    assert d.to_dense() == [[2]]
-    assert u.to_dense() == [[1]]
-    assert v.to_dense() == [[1]]
+    assert check_row_smith([[2]], 4) == ([1], [[1]], [[1]])
 
 
 def test_snf_zero_matrix():
-    a = SparseMatrix.zeros(2, 2, 2)
-    _, d, _ = smith_normal_form(a)
-    assert d.to_dense() == [[0, 0], [0, 0]]
+    assert check_row_smith([[0, 0], [0, 0]], 2) == ([], identity(2), identity(2))
 
 
 def test_snf_identity_example_z2():
-    a = SparseMatrix.from_dense([[1, 1], [1, 0]], 2)
-    u, d, v = smith_normal_form(a)
-    assert d.to_dense() == [[1, 0], [0, 1]]
-    assert u.matmul(a).matmul(v).to_dense() == d.to_dense()
+    vals, U, _ = check_row_smith([[1, 1], [1, 0]], 2)
+    assert vals == [0, 0]
+    assert matmul(U, [[1, 1], [1, 0]], 2) == [[1, 1], [0, 1]]
 
 
 def invertible_mod(mat, m):
-    n = mat.rows
-    sol = [solve(mat, [int(i == j) for i in range(n)]) for j in range(n)]
+    n = len(mat)
+    sol = [solve_dense(mat, [int(i == j) for i in range(n)], m) for j in range(n)]
     return all(s is not None for s in sol)
 
 
@@ -89,33 +110,24 @@ def test_snf_random_uav_equals_d(m):
     for _ in range(25):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        a = SparseMatrix.from_dense(
-            [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)], m
-        )
-        u, d, v = smith_normal_form(a)
-        assert u.matmul(a).matmul(v).to_dense() == d.to_dense()
-        assert d.is_diagonal()
-        assert invertible_mod(u, m)
-        assert invertible_mod(v, m)
-        # successive divisibility of the integer lifts
-        diag = [d.to_dense()[i][i] for i in range(min(rows, cols))]
-        diag = [x for x in diag if x]
-        for x, y in zip(diag, diag[1:]):
-            assert y % x == 0
+        A = [[rng.randrange(m) for _ in range(cols)] for _ in range(rows)]
+        _, U, Ui = check_row_smith(A, m)
+        assert invertible_mod(U, m)
+        assert invertible_mod(Ui, m)
 
 
 def test_solve_examples_from_contract():
     # A = 0, b = 0: kernel is the full space
-    sol = solve(SparseMatrix.zeros(2, 2, 2), [0, 0])
+    sol = solve_dense([[0, 0], [0, 0]], [0, 0], 2)
     assert sol.particular == (0, 0)
     assert affine_members(sol, 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     # [[2]] x = 2 over Z/4: solutions {1, 3}
-    sol = solve(SparseMatrix.from_dense([[2]], 4), [2])
+    sol = solve_dense([[2]], [2], 4)
     assert sol.particular == (1,)
     assert sol.kernel_basis == ((2,),)
     assert affine_members(sol, 4) == {(1,), (3,)}
     # [[2]] x = 1 over Z/4: no solution
-    assert solve(SparseMatrix.from_dense([[2]], 4), [1]) is None
+    assert solve_dense([[2]], [1], 4) is None
 
 
 @pytest.mark.parametrize("m,dim", [(2, 4), (4, 3), (3, 3), (8, 2)])
@@ -157,8 +169,6 @@ def test_determinism_bit_identical():
     s1 = solve_dense(A, b, 4)
     s2 = solve_dense([row[:] for row in A], list(b), 4)
     assert s1 == s2
-    a = SparseMatrix.from_dense(A, 4)
-    assert smith_normal_form(a) == smith_normal_form(a)
 
 
 def test_howell_canonical_under_permutation():
@@ -186,13 +196,13 @@ def test_howell_canonical_under_permutation():
 
 def test_quotient_basis_trivial_and_examples():
     # no generators: quotient is the ambient module
-    reps, proj = quotient_basis([], 2, 2)
-    assert len(reps) == 2
-    assert proj((1, 0)) != proj((0, 1))
+    pres = quotient_presentation(2, [], 2)
+    assert len(pres.reps) == 2
+    assert pres.coords((1, 0)) != pres.coords((0, 1))
     # Z/2 rank 2 mod (1,1): both standard vectors map to the same class
-    reps, proj = quotient_basis([(1, 1)], 2, 2)
-    assert len(reps) == 1
-    assert proj((1, 0)) == proj((0, 1)) != proj((0, 0))
+    pres = quotient_presentation(2, [(1, 1)], 2)
+    assert len(pres.reps) == 1
+    assert pres.coords((1, 0)) == pres.coords((0, 1)) != pres.coords((0, 0))
     # Z/4 rank 1 mod (2): quotient is Z/2
     pres = quotient_presentation(1, [(2,)], 4)
     assert pres.order_exps == (1,)
