@@ -9,14 +9,20 @@ boundary convention
 
 over the free positions i_1 < ... < i_d of c, together with the standard
 cubical diagonal (front face tensor back face with shuffle signs), which is
-coassociative, counital, and a chain map.
+coassociative, counital, and a chain map.  The diagonal of a cell is read
+off its word on demand; no table of diagonals is built.
+
+The standard balls (cube_ball, corner_ball) are built once per dimension and
+shared: a ball and its chain basis are immutable values, and nothing may
+change their cells, boundary rows or boundary set after construction.
 
 Chain-level cylinders (with a chosen collapsed subcomplex), cylinders
 attached along a face, and pastings are built here as generic based chain
 complexes so that homotopies and actions reduce to plain linear algebra.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 from .errors import InternalInvariantError, UserInputError
@@ -88,18 +94,6 @@ def serre_diagonal_word(word):
 # complexes
 
 
-def closure(words):
-    seen = set()
-    stack = list(words)
-    while stack:
-        w = stack.pop()
-        if w in seen:
-            continue
-        seen.add(w)
-        stack.extend(cell_faces(w))
-    return frozenset(seen)
-
-
 @dataclass(frozen=True)
 class CubicalComplex:
     """A downward closed set of cells of the N-cube."""
@@ -120,9 +114,6 @@ class CubicalComplex:
                         raise UserInputError(f"cell set not downward closed at {w!r} -> {f!r}")
         return CubicalComplex(ambient, cells)
 
-    def sorted_cells(self):
-        return sorted(self.cells, key=lambda w: (cell_dim(w), w))
-
     def cells_of_dim(self, k):
         return sorted(w for w in self.cells if cell_dim(w) == k)
 
@@ -135,9 +126,6 @@ class CubicalComplex:
         for w in self.cells:
             non_max.update(cell_faces(w))
         return sorted((w for w in self.cells if w not in non_max), key=lambda w: (cell_dim(w), w))
-
-    def has_subcomplex(self, other):
-        return other.ambient == self.ambient and other.cells <= self.cells
 
     def union(self, other):
         self._same_ambient(other)
@@ -183,11 +171,6 @@ def corner_faces_complex(n, digit):
     return CubicalComplex(n, frozenset(w for w in full.cells if d in w))
 
 
-def product_complex(a, b):
-    cells = frozenset(x + y for x in a.cells for y in b.cells)
-    return CubicalComplex(a.ambient + b.ambient, cells)
-
-
 def is_regular_sequence(pieces):
     """Combinatorial check that a sequence of same-dimensional pieces glues.
 
@@ -218,9 +201,11 @@ def is_regular_sequence(pieces):
 class ChainBasis:
     """A finite based chain complex; boundary coefficients are integers.
 
-    diagonal, when present, maps a cell to a list of (sign, front, back)
-    and is required to be coassociative, counital, and a chain map (checked
-    in the test suite, not on every construction).
+    diagonal, when present, is a function from a cell to its list of
+    (sign, front, back); it is required to be coassociative, counital, and
+    a chain map (checked in the test suite, not on every construction).
+    A basis is an immutable value: dims and bnd are never changed after
+    construction, so bases (and the balls carrying them) may be shared.
     """
 
     def __init__(self, dims, boundary, diagonal=None, label=""):
@@ -252,16 +237,9 @@ class ChainBasis:
     def diag_of(self, c):
         if self.diagonal is None:
             raise UserInputError(f"no diagonal available on {self.label or 'this complex'}")
-        if c not in self.diagonal:
+        if c not in self.dims:
             raise UserInputError(f"cell {c!r} is not in this complex")
-        return self.diagonal[c]
-
-    @property
-    def has_diagonal(self):
-        return self.diagonal is not None
-
-    def has_cells(self, cells):
-        return all(c in self.dims for c in cells)
+        return self.diagonal(c)
 
     def is_closed(self, cells):
         cells = set(cells)
@@ -272,26 +250,8 @@ class ChainBasis:
         if not self.is_closed(cells):
             raise UserInputError("cell set is not a subcomplex")
         dims = {c: self.dims[c] for c in cells}
-        bnd = {c: dict(self.boundary_of(c)) for c in cells}
-        diag = None
-        if self.diagonal is not None:
-            diag = {c: list(self.diagonal[c]) for c in cells}
-        return ChainBasis(dims, bnd, diag, label or self.label)
-
-    def union(self, other, label=""):
-        dims = dict(self.dims)
-        bnd = {c: dict(r) for c, r in self.bnd.items()}
-        for c, d in other.dims.items():
-            if c in dims:
-                if dims[c] != d or self.boundary_of(c) != other.boundary_of(c):
-                    raise InternalInvariantError(f"incompatible cell {c!r} in union")
-            dims[c] = d
-            bnd[c] = dict(other.boundary_of(c))
-        diag = None
-        if self.diagonal is not None and other.diagonal is not None:
-            diag = {c: list(t) for c, t in self.diagonal.items()}
-            diag.update({c: list(t) for c, t in other.diagonal.items()})
-        return ChainBasis(dims, bnd, diag, label)
+        bnd = {c: self.boundary_of(c) for c in cells}
+        return ChainBasis(dims, bnd, self.diagonal, label or self.label)
 
     # chain utilities (chains are dicts cell -> integer coefficient)
 
@@ -303,22 +263,15 @@ class ChainBasis:
         return {x: v for x, v in out.items() if v}
 
 
-def serre_diagonal(complex_):
-    """The diagonal of every cell of a cubical complex, as a dict."""
-    return {w: serre_diagonal_word(w) for w in complex_.cells}
-
-
 def complex_basis(complex_, label=""):
     dims = {w: cell_dim(w) for w in complex_.cells}
     bnd = {}
-    diag = {}
     for w in complex_.cells:
         acc = {}
         for coeff, f in boundary_word(w):
             acc[f] = acc.get(f, 0) + coeff
         bnd[w] = acc
-        diag[w] = serre_diagonal_word(w)
-    return ChainBasis(dims, bnd, diag, label)
+    return ChainBasis(dims, bnd, serre_diagonal_word, label)
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +280,34 @@ def complex_basis(complex_, label=""):
 
 @dataclass(frozen=True)
 class Ball:
-    """A based chain complex together with its designated boundary cells."""
+    """A based chain complex together with its designated boundary cells.
+
+    Like its basis, a ball is an immutable value; cube_ball and corner_ball
+    return one shared instance per argument list.
+    """
 
     basis: ChainBasis
     boundary: frozenset
-    complex: CubicalComplex = field(default=None, compare=False)
     label: str = ""
-
-    def interior_cells(self):
-        return [c for c in self.basis.cells() if c not in self.boundary]
-
-    def boundary_subbasis(self):
-        return self.basis.subbasis(self.boundary, label=self.label + ".boundary")
 
 
 def point_ball():
-    cc = cube_complex(0)
-    return Ball(complex_basis(cc, "pt"), frozenset(), cc, "pt")
+    return Ball(complex_basis(cube_complex(0), "pt"), frozenset(), "pt")
 
 
+@cache
 def cube_ball(n):
-    cc = cube_complex(n)
     bd = cube_boundary_complex(n).cells
-    return Ball(complex_basis(cc, f"I^{n}"), frozenset(bd), cc, f"I^{n}")
+    return Ball(complex_basis(cube_complex(n), f"I^{n}"), frozenset(bd), f"I^{n}")
 
 
+@cache
 def corner_ball(n, digit=0):
     """The (n-1)-ball formed by the facets of the n-cube through a corner."""
     cc = corner_faces_complex(n, digit)
     other = corner_faces_complex(n, 1 - digit)
     bd = cc.intersection(other).cells
-    return Ball(complex_basis(cc, f"corner({n},{digit})"), frozenset(bd), cc, f"corner({n},{digit})")
+    return Ball(complex_basis(cc, f"corner({n},{digit})"), frozenset(bd), f"corner({n},{digit})")
 
 
 def facet_ball(n, pos, digit):
@@ -365,16 +315,7 @@ def facet_ball(n, pos, digit):
     bd = frozenset(
         w for w in cc.cells if any(i != pos and w[i] != FREE for i in range(n))
     )
-    return Ball(complex_basis(cc, f"facet({n},{pos},{digit})"), bd, cc, f"facet({n},{pos},{digit})")
-
-
-def subcomplex_ball(ambient_ball, cells, boundary, label=""):
-    """A ball carried by a subcomplex of an existing ball's complex."""
-    sub = ambient_ball.basis.subbasis(cells, label=label)
-    cc = None
-    if ambient_ball.complex is not None:
-        cc = CubicalComplex(ambient_ball.complex.ambient, frozenset(cells))
-    return Ball(sub, frozenset(boundary), cc, label)
+    return Ball(complex_basis(cc, f"facet({n},{pos},{digit})"), bd, f"facet({n},{pos},{digit})")
 
 
 def opposite_face(ball, face_cells):
@@ -468,7 +409,8 @@ class CylinderComplex:
                             sign = s if base.dim(a) % 2 == 0 else -s
                             rows.append((sign, self.top(a), "e:" + b))
                     diag["e:" + c] = rows
-        self.basis = ChainBasis(dims, bnd, diag, label or ("J(" + base.label + ")"))
+        lookup = None if diag is None else diag.__getitem__
+        self.basis = ChainBasis(dims, bnd, lookup, label or ("J(" + base.label + ")"))
 
     @staticmethod
     def _push(row, namer):
@@ -506,20 +448,7 @@ def cylinder_ball(ball, rel=None):
     collapse = ball.boundary if rel is None else frozenset(rel)
     cyl = CylinderComplex(ball.basis, collapse)
     bd = frozenset(c for c in cyl.basis.cells() if not c.startswith("e:"))
-    return Ball(cyl.basis, bd, None, "J(" + ball.label + ")"), cyl
-
-
-def cylinder_chains(complex_, rel=None):
-    """Chain-level relative cylinder of a cubical complex.
-
-    The cylinder over rel (default: every cell with a fixed coordinate,
-    i.e. the boundary) is collapsed; the result carries the end inclusions
-    and the projection as chain maps.
-    """
-    basis = complex_basis(complex_)
-    if rel is None:
-        rel = frozenset(w for w in complex_.cells if any(ch != FREE for ch in w))
-    return CylinderComplex(basis, frozenset(rel))
+    return Ball(cyl.basis, bd, "J(" + ball.label + ")"), cyl
 
 
 class AttachedCylinder:
@@ -541,16 +470,7 @@ class AttachedCylinder:
         self.face = face_cells
         # rim = face cells shared with the closure of the opposite boundary;
         # the cylinder over the rim is collapsed
-        opp = set(ball.boundary) - set(face_cells)
-        clos = set()
-        stack = list(opp)
-        while stack:
-            c = stack.pop()
-            if c in clos:
-                continue
-            clos.add(c)
-            stack.extend(ball.basis.boundary_of(c))
-        self.rim = face_cells & frozenset(clos)
+        self.rim = face_cells & opposite_face(ball, face_cells)
         self.face_interior = frozenset(c for c in face_cells if c not in self.rim)
         dims = dict(ball.basis.dims)
         bnd = {c: dict(ball.basis.boundary_of(c)) for c in ball.basis.dims}

@@ -229,7 +229,7 @@ def solve_dense(A, b, m, cols=None):
     zero only check their right-hand side.  The Howell form of the rows
     (A e_j, e_j) spans the graph {(Ax, x)}: reducing (b, 0) by it leaves
     (0, -x) for a solution x exactly when one exists, and its rows that
-    start in the x part span the kernel.
+    start in the x part are already the Howell basis of the kernel.
     """
     rows = len(A)
     if cols is None:
@@ -251,7 +251,7 @@ def solve_dense(A, b, m, cols=None):
     red = howell_reduce([b[i] for i in live] + [0] * cols, graph, m)
     if any(red[:r]):
         return None
-    basis = howell_form([g[r:] for g in graph if _leading(g) >= r], cols, m)
+    basis = tuple(g[r:] for g in graph if _leading(g) >= r)
     part = howell_reduce([-x for x in red[r:]], basis, m)
     return AffineSolutionSet(part, basis, m)
 

@@ -13,7 +13,16 @@ reported for reproducibility and enumeration.
 from dataclasses import dataclass, field
 
 from .chain_algebra import GradedModule, ModElem, NatElem, pair_basis
-from .cubical import AttachedCylinder, Ball, CylinderComplex, cylinder_ball, orientation_sign
+from .cubical import (
+    AttachedCylinder,
+    Ball,
+    CubicalComplex,
+    CylinderComplex,
+    complex_basis,
+    cylinder_ball,
+    opposite_face,
+    orientation_sign,
+)
 from .errors import InternalInvariantError, UserInputError
 from .exact_linalg import solve_dense
 
@@ -141,9 +150,10 @@ def compose(g, f):
     values = {}
     flag = f.tainted or g.tainted
     for cell in basis.cells():
+        terms = basis.diag_of(cell)
         for i in range(f.src.size):
             out = ModElem.zero(g.dst, g.Q)
-            for sign, front, back in basis.diag_of(cell):
+            for sign, front, back in terms:
                 fv = f.values.get((back, i))
                 if fv is None:
                     continue
@@ -156,17 +166,8 @@ def compose(g, f):
 
 def restrict(f, cells, boundary=(), label=""):
     """Restriction to a subcomplex of the base."""
-    from .cubical import CubicalComplex
-
-    cc = None
-    if f.ball.complex is not None:
-        cc = CubicalComplex(f.ball.complex.ambient, frozenset(cells))
-    sub = Ball(
-        f.ball.basis.subbasis(cells, label=label or (f.ball.label + "|sub")),
-        frozenset(boundary),
-        cc,
-        label or (f.ball.label + "|sub"),
-    )
+    label = label or (f.ball.label + "|sub")
+    sub = Ball(f.ball.basis.subbasis(cells, label=label), frozenset(boundary), label)
     values = {(c, i): v.copy() for (c, i), v in f.values.items() if c in sub.basis.dims}
     return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.window_tainted)
 
@@ -220,18 +221,15 @@ def glue(pieces, ball):
 
 
 def product_ball(b1, b2):
-    from .cubical import complex_basis, product_complex
-
-    if b1.complex is None or b2.complex is None:
-        raise UserInputError("tensor products need cubical bases")
-    prod = product_complex(b1.complex, b2.complex)
-    bd = frozenset(
-        x + y
-        for x in b1.complex.cells
-        for y in b2.complex.cells
-        if x in b1.boundary or y in b2.boundary
-    )
-    return Ball(complex_basis(prod), bd, prod, f"{b1.label}x{b2.label}")
+    """The product ball, cells x + y; both factors must have cubical cells."""
+    for b in (b1, b2):
+        if any(ch not in "01*" for c in b.basis.dims for ch in c):
+            raise UserInputError("tensor products need cubical bases")
+    pairs = [(x, y) for x in b1.basis.dims for y in b2.basis.dims]
+    words = frozenset(x + y for x, y in pairs)
+    bd = frozenset(x + y for x, y in pairs if x in b1.boundary or y in b2.boundary)
+    prod = CubicalComplex(max(map(len, words), default=0), words)
+    return Ball(complex_basis(prod), bd, f"{b1.label}x{b2.label}")
 
 
 def tensor(g, f):
@@ -241,8 +239,9 @@ def tensor(g, f):
     ball = product_ball(g.ball, f.ball)
     values = {}
     flag = f.tainted or g.tainted
-    for c1 in g.ball.complex.sorted_cells():
-        for c2 in f.ball.complex.sorted_cells():
+    back = f.ball.basis.cells()
+    for c1 in g.ball.basis.cells():
+        for c2 in back:
             for i in range(f.src.size):
                 fv = f.values.get((c2, i))
                 if fv is None:
@@ -263,12 +262,7 @@ def inject_cubical(f, position, digit, ambient_ball):
         values[(c[:position] + d + c[position:], i)] = v.copy()
     for c in f.ball.basis.cells():
         cells.append(c[:position] + d + c[position:])
-    sub = Ball(
-        ambient_ball.basis.subbasis(cells),
-        frozenset(),
-        None,
-        f"{f.ball.label}@{position}:{digit}",
-    )
+    sub = Ball(ambient_ball.basis.subbasis(cells), frozenset(), f"{f.ball.label}@{position}:{digit}")
     return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.window_tainted)
 
 
@@ -570,10 +564,8 @@ def nullhomotopy(f, choices=None):
 
 def face_ball_of(ball, cells, label=""):
     """The face as a ball: boundary = cells shared with the rest of the boundary."""
-    from .cubical import opposite_face
-
     rim = frozenset(cells) & opposite_face(ball, cells)
-    return Ball(ball.basis.subbasis(cells, label=label), rim, None, label or "face")
+    return Ball(ball.basis.subbasis(cells, label=label), rim, label or "face")
 
 
 def sigma_homotopy(f, alpha, orientation=1):

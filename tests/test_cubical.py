@@ -22,10 +22,10 @@ from kq.cubical import (
     opposite_face,
     orientation_sign,
     point_ball,
-    product_complex,
     serre_diagonal_word,
 )
 from kq.exact_linalg import solve_dense
+from kq.track import product_ball
 
 
 def chain_add(acc, chain, scale=1):
@@ -273,22 +273,25 @@ def test_attached_cylinder_action_map_is_chain_map():
                 assert is_chain_map(phi, ball.basis, att.basis)
 
 
-def test_product_complex_concatenates():
-    sq = product_complex(cube_complex(1), cube_complex(1))
-    assert sq.cells == cube_complex(2).cells
-    mixed = product_complex(facet_complex(1, 0, 1), cube_complex(1))
-    assert mixed.cells == facet_complex(2, 0, 1).cells
+def test_product_ball_concatenates():
+    sq = product_ball(cube_ball(1), cube_ball(1))
+    square = cube_ball(2)
+    assert sq.basis.dims == square.basis.dims
+    assert sq.basis.bnd == square.basis.bnd
+    assert sq.boundary == square.boundary
+    mixed = product_ball(facet_ball(1, 0, 1), cube_ball(1))
+    assert set(mixed.basis.dims) == facet_complex(2, 0, 1).cells
+    for c in ("1*", "11", "10"):
+        assert mixed.basis.diag_of(c) == serre_diagonal_word(c)
 
 
-def test_named_wrappers():
-    from kq.cubical import cylinder_chains, serre_diagonal
-
-    diag = serre_diagonal(cube_complex(1))
-    assert sorted(diag["*"]) == [(1, "*", "0"), (1, "1", "*")]
-    cyl = cylinder_chains(cube_complex(1))
+def test_diagonal_and_cylinder_of_the_interval():
+    assert sorted(serre_diagonal_word("*")) == [(1, "*", "0"), (1, "1", "*")]
+    basis = complex_basis(cube_complex(1))
+    cyl = CylinderComplex(basis, cube_boundary_complex(1).cells)
     assert len(cyl.basis.cells_of_dim(2)) == 1
     with pytest.raises(UserInputError):
-        complex_basis(cube_complex(1)).diag_of("**")
+        basis.diag_of("**")
 
 
 def test_corner_ball_boundary():

@@ -4,7 +4,8 @@ import pytest
 
 import kq.toda
 from kq.chain_algebra import GradedModule, homology
-from kq.cubical import point_ball
+from kq.cubical import corner_ball, cube_ball, point_ball
+from kq.documents import parse_algebra, parse_sequence
 from kq.errors import UserInputError
 from kq.oracle_support import EnumerationBudget
 from kq.toda import (
@@ -22,6 +23,7 @@ from kq.track import pt_morphism
 
 from conftest import make_massey_algebra
 from randalg import bracket_instances, budget_feasible, random_valid_algebra
+from test_closed_form import universal
 
 
 @pytest.fixture
@@ -391,3 +393,21 @@ def test_walk_solves_each_state_once(walk, monkeypatch):
     # at order 1 every stage is solvable, so each non-leaf state enumerates its choices once
     assert calls["enumerate"] > 1
     assert calls["extend"] == calls["enumerate"]
+
+
+def test_standard_balls_are_shared_and_stay_pristine():
+    assert cube_ball(2) is cube_ball(2)
+    assert corner_ball(3, 0) is corner_ball(3, 0)
+    rng = random.Random(7)
+    algebra, violations = parse_algebra(universal.algebra_doc(3, 2, rng, free_cycle=True))
+    assert violations == []
+    seq = parse_sequence(universal.sequence_doc(3, universal.draw_units(3, 2, rng)), algebra)
+    assert oracle_bracket_set(algebra, seq, 3, EnumerationBudget(2**14))
+    assert toda_bracket(algebra, seq, 3).status == DEFINED
+    used = [(cube_ball, (k,)) for k in (1, 2, 3)] + [(corner_ball, (k, 0)) for k in (1, 2, 3, 4)]
+    for make, args in used:
+        shared, fresh = make(*args), make.__wrapped__(*args)
+        assert shared is not fresh
+        assert shared.basis.dims == fresh.basis.dims
+        assert shared.basis.bnd == fresh.basis.bnd
+        assert shared.boundary == fresh.boundary

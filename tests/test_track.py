@@ -6,6 +6,7 @@ from kq.chain_algebra import GradedModule, ModElem, NatSystem, homology
 from kq.cubical import (
     corner_ball,
     cube_ball,
+    cylinder_ball,
     facet_ball,
     facet_complex,
     point_ball,
@@ -189,7 +190,7 @@ def test_tensor_zero_and_boundary_compat(qm):
     # restriction to B' x A equals g tensor (f restricted to A)
     sub = facet_complex(1, 0, 0).cells  # the vertex 0 of the back factor
     lhs = tensor(g, restrict(f, sub))
-    rhs_cells = {c1 + c2 for c1 in g.ball.complex.cells for c2 in sub}
+    rhs_cells = {c1 + c2 for c1 in g.ball.basis.dims for c2 in sub}
     rhs = restrict(tf, rhs_cells)
     assert lhs.equal(rhs)
 
@@ -493,3 +494,15 @@ def test_choice_vector_of_wrong_length_rejected():
         solve_for_values(*args, bad)
     with pytest.raises(UserInputError):
         res.instantiate(bad)
+
+
+def test_tensor_rejects_a_cylinder_ball(qm):
+    L1 = GradedModule.of([("r", 1)])
+    L0 = GradedModule.of([("s", 0)])
+    jball, _ = cylinder_ball(cube_ball(1))
+    g = zero_morphism(jball, L1, L0, qm)
+    f = mult_map(qm, GradedModule.of([("q", 2)]), L1, "b")
+    with pytest.raises(UserInputError, match="cubical"):
+        tensor(g, f)
+    with pytest.raises(UserInputError, match="cubical"):
+        tensor(mult_map(qm, L1, L0, "a"), zero_morphism(jball, GradedModule.of([("q", 2)]), L1, qm))
