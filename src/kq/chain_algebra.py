@@ -320,11 +320,6 @@ class Homology:
         rep = tuple(sorted((basis[i], c) for i, c in enumerate(canon) if c))
         return HClass(self.k, r, coords, rep)
 
-    def zero_class(self, r):
-        pres = self.presentation(r)
-        rank = 0 if pres is None else pres.rank
-        return HClass(self.k, r, (0,) * rank, ())
-
     def class_from_coords(self, r, coords):
         pres = self.presentation(r)
         if pres is None or pres.rank == 0:
@@ -340,9 +335,6 @@ class Homology:
         if pres is None or pres.rank == 0:
             return [HClass(self.k, r, (), ())]
         return [self.class_from_coords(r, c) for c in pres.all_coords()]
-
-    def is_boundary(self, vec, r):
-        return self.class_of(vec, r).is_zero()
 
 
 def homology(Q, k):
@@ -548,11 +540,6 @@ class ModElem:
         return [self.coeffs.get(key, 0) % self.Q.m for key in basis]
 
     @staticmethod
-    def from_vector(module, Q, basis, vec, tainted=False):
-        coeffs = {key: v % Q.m for key, v in zip(basis, vec) if v % Q.m}
-        return ModElem(module, Q, coeffs, tainted)
-
-    @staticmethod
     def zero(module, Q):
         return ModElem(module, Q, {})
 
@@ -590,9 +577,6 @@ class NatElem:
             if h is not None and not h.is_zero()
         )
         return NatElem(k, src, dst, ent)
-
-    def entry_dict(self):
-        return {(j, i): h for j, i, h in self.entries}
 
     def is_zero(self):
         return not self.entries

@@ -1,30 +1,26 @@
 """Higher Toda brackets, higher chain complexes, and Adams differentials.
 
 Given a composable sequence of maps with vanishing consecutive composites,
-nullhomotopy data is built level by level: the level-k datum for index i is
-a morphism over the k-cube extending the glued assembly of lower data over
-the union of the cube facets through the origin, with zero prescribed on
-the facets through the opposite corner.  The obstruction class of the final
-assembly is the bracket representative.  Every solver choice is logged and
-can be replayed.  One depth-first walker over the choice tree serves every
-entry point: the bracket and adams-d follow one branch, the oracle visits
-every leaf to produce the exact bracket set, and the chain-complex search
-stops at the first coherent leaf.
+nullhomotopy data a(i,k) over the k-cube is built level by level as a
+defining system (Kraines 1966, May 1969).  Its only unknown is the value on
+the top cell, solved from d a(i,k) = sum_{r<k} (-1)^(r+1) a(i,r) a(i+r+1,k-1-r)
+with products of top cells and a(i,0) the i-th map; the sign is that of the
+facet with a 0 in slot r+1.  The bracket is the class of (-1)^(n+1) times
+the level-(n+1) sum for index 1.  Every solver choice is logged and can be
+replayed.  One depth-first walker over the choice tree serves every entry
+point: the bracket and adams-d follow one branch, the oracle visits every
+leaf to produce the exact bracket set, and the chain-complex search stops at
+the first coherent leaf.
 """
 
 from dataclasses import dataclass, field
 
-from .chain_algebra import NatSystem
-from .cubical import corner_ball, cube_ball
-from .errors import InternalInvariantError, UserInputError
+from .chain_algebra import ModElem, NatSystem, pair_basis
+from .cubical import cube_ball
+from .errors import UserInputError
+from .exact_linalg import solve_dense
 from .oracle_support import EnumerationBudget, enumerate_block_choices
-from .track import (
-    extend,
-    glue,
-    inject_cubical,
-    obstruction,
-    tensor,
-)
+from .track import SolveBlock, SolveResult, TrackMorphism, apply_q_linear, class_matrix
 
 DEFINED = "defined"
 NOT_CONSTRUCTIBLE = "not_constructible"
@@ -72,7 +68,7 @@ class HigherChainComplex:
 
     seq: MorphismSequence
     order: int
-    data: dict  # (index i, level k) -> TrackMorphism over the k-cube
+    data: dict  # (index i, level k) -> TrackMorphism over the k-cube, valued on its top cell only
     choice_log: list = field(default_factory=list)
 
 
@@ -80,7 +76,7 @@ class HigherChainComplex:
 class _Tower:
     """Nullhomotopy data with the choice log that built it."""
 
-    data: dict  # (index i, level k) -> TrackMorphism over the k-cube
+    data: dict  # (index i, level k) -> TrackMorphism over the k-cube, valued on its top cell only
     log: list = field(default_factory=list)
 
     @staticmethod
@@ -89,31 +85,45 @@ class _Tower:
         data.update(prescribed or {})
         return _Tower(data)
 
-    def glued_assembly(self, i, k):
-        """The union over the corner facets of the (k+1)-cube for index i.
+    def corner_sum(self, i, k):
+        """src, dst, the right side of d a(i,k) per source generator, and any window cut."""
+        pairs = [(r, self.data[(i, r)], self.data[(i + r + 1, k - 1 - r)]) for r in range(k)]
+        src, dst, Q = pairs[0][2].src, pairs[0][1].dst, pairs[0][1].Q
+        tainted = any(left.tainted or right.tainted for _, left, right in pairs)
+        sums = []
+        for gen in range(src.size):
+            acc = ModElem.zero(dst, Q)
+            for r, left, right in pairs:
+                term = apply_q_linear(left, "*" * r, right.value("*" * (k - 1 - r), gen))
+                acc = acc.add(term, scale=-1 if r % 2 == 0 else 1)
+            tainted = tainted or acc.tainted
+            sums.append(acc)
+        return src, dst, sums, tainted
 
-        Face r (the facet with a 0 in slot r+1) carries the product of the
-        level-r datum at i with the level-(k-r) datum at i+r+1.
-        """
-        ball = corner_ball(k + 1, 0)
-        pieces = []
-        for r in range(k + 1):
-            left = self.data[(i, r)]
-            right = self.data[(i + r + 1, k - r)]
-            piece = inject_cubical(tensor(left, right), r, 0, ball)
-            pieces.append(piece)
-        try:
-            return glue(pieces, ball)
-        except UserInputError as exc:
-            raise InternalInvariantError(
-                f"face compatibility failed while assembling index {i} level {k}: {exc}"
-            ) from exc
+    def obstruction(self, i, n, nat):
+        """The class of (-1)^(n+1) times the level-(n+1) corner sum, and its taint."""
+        src, dst, sums, tainted = self.corner_sum(i, n + 1)
+        sign = -1 if n % 2 == 0 else 1
+        return class_matrix(nat, src, dst, [acc.scale(sign) for acc in sums]), tainted
 
     def solve(self, i, k):
-        """Solver blocks extending the glued assembly across the k-cube, zero on the far corner."""
-        ball = cube_ball(k)
-        zero_cells = [c for c in ball.basis.cells() if "1" in c]
-        return extend(ball, self.glued_assembly(i, k - 1), zero_cells)
+        """Solver blocks for the top cell of a(i,k): d a(i,k) = the corner sum."""
+        src, dst, sums, tainted = self.corner_sum(i, k)
+        Q = self.data[(i, 0)].Q
+        top = "*" * k
+        blocks = []
+        for gen in range(src.size):
+            deg = src.degree(gen)
+            slots = pair_basis(dst, Q, deg, k)
+            rows = pair_basis(dst, Q, deg, k - 1)
+            cols = [ModElem(dst, Q, {key: 1}).d().to_vector(rows) for key in slots]
+            A = [[col[t] for col in cols] for t in range(len(rows))]
+            sol = solve_dense(A, sums[gen].to_vector(rows), Q.m, cols=len(slots))
+            if sol is None:
+                reason = "no solution to the chain conditions"
+                return None, {"generator": src.name(gen), "unknowns": len(slots), "reason": reason}
+            blocks.append(SolveBlock(gen, [(top, key) for key in slots], sol, ()))
+        return SolveResult(TrackMorphism(cube_ball(k), src, dst, Q, {}, tainted), blocks), None
 
     def with_level(self, i, k, res):
         data = {**self.data, (i, k): res.morphism}
@@ -162,27 +172,23 @@ def _bracket(tower, length, n, nat, choices):
     tower, fail = next(leaf)
     if fail is not None:
         return BracketResult(NOT_CONSTRUCTIBLE, choice_log=tower.log, **fail)
-    F = tower.glued_assembly(1, n)
-    rep = obstruction(F, nat)
-    status = WINDOW_UNSOUND if (tower.tainted() or F.tainted) else DEFINED
+    rep, tainted = tower.obstruction(1, n, nat)
+    status = WINDOW_UNSOUND if (tower.tainted() or tainted) else DEFINED
     return BracketResult(status, representative=rep, choice_log=tower.log)
 
 
 def toda_bracket(Q, seq, n, choices=None, nat=None):
-    """Deterministic representative of the order-n bracket of an (n+2)-sequence."""
+    """Deterministic representative of the order-n bracket of an (n+2)-sequence; Q must be valid."""
     if Q.n != n:
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
-    bad = Q.validate()
-    if bad:
-        raise UserInputError("the algebra is invalid", detail={"violations": bad[:5]})
     nat = nat or NatSystem(Q, n)
     return _bracket(_Tower.start(seq), seq.length, n, nat, choices)
 
 
 def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
-    """The exact bracket set by exhaustive enumeration of every choice."""
+    """The exact bracket set by exhaustive enumeration of every choice; Q must be valid."""
     if Q.n != n:
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
     if seq.length != n + 2:
@@ -198,10 +204,9 @@ def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
     for leaf, fail in _walk(tower, _stages(tower, seq.length, n), every_choice, budget):
         if fail is not None:
             continue
-        F = leaf.glued_assembly(1, n)
-        if leaf.tainted() or F.tainted:
+        rep, tainted = leaf.obstruction(1, n, nat)
+        if leaf.tainted() or tainted:
             raise UserInputError("bracket enumeration crossed the degree window")
-        rep = obstruction(F, nat)
         found.setdefault(rep.coords_key(), rep)
     return [found[key] for key in sorted(found)]
 
@@ -256,6 +261,7 @@ def build_chain_complex(Q, seq, n, choices=None, search_budget=None, nat=None):
     The pinned deterministic choices are tried first; on failure a bounded
     exhaustive search over all solver choices looks for a coherent
     assignment.  Returns (HigherChainComplex, None) or (None, failure).
+    Q must already be valid.
     """
     if Q.n != n:
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
@@ -270,7 +276,7 @@ def build_chain_complex(Q, seq, n, choices=None, search_budget=None, nat=None):
 
     def window_failure(tower):
         for i in windows:
-            rep = obstruction(tower.glued_assembly(i, n), nat)
+            rep, _ = tower.obstruction(i, n, nat)
             if not rep.is_zero():
                 return {"step": n + 1, "index": i, "certificate": {"obstruction": rep.coords_key()}}
         return None
@@ -293,7 +299,7 @@ def adams_d(Q, complex_, beta, n, choices=None, nat=None):
     complex_ carries coherent data for the resolution window; the sequence is
     augmented by beta as its last map, the missing nullhomotopy tower for
     beta is built at levels 1..n reusing the window data, and the obstruction
-    of the final corner assembly is returned.
+    of the final corner sum is returned.  Q must already be valid.
     """
     if Q.n != n:
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")

@@ -508,12 +508,14 @@ def extend(ball, partial, zero_cells):
     """Extension of a partial morphism by zero on the opposite subcomplex.
 
     partial is a morphism over a subcomplex of ball; zero_cells carry the
-    prescribed zero.  Returns (SolveResult, None) or (None, certificate).
+    prescribed zero, and a window cutoff recorded on partial taints the
+    result.  Returns (SolveResult, None) or (None, certificate).
     """
     prescribed = {}
     for c in partial.ball.basis.cells():
         for i in range(partial.src.size):
-            prescribed[(c, i)] = partial.value(c, i)
+            v = partial.value(c, i)
+            prescribed[(c, i)] = ModElem(v.module, v.Q, v.coeffs, v.tainted or partial.window_tainted)
     for c in zero_cells:
         for i in range(partial.src.size):
             if (c, i) in prescribed:
@@ -678,18 +680,26 @@ def obstruction(F, nat, orientation=1):
         for top, pos in data:
             coeff = -1 if (dim + pos) % 2 else 1
             contributions.append((coeff, top))
-    entries = {}
+    sums = []
     for i in range(F.src.size):
         acc = ModElem.zero(F.dst, F.Q)
         for coeff, top in contributions:
             acc = acc.add(F.value(top, i), scale=coeff * orientation)
-        for j in range(F.dst.size):
+        sums.append(acc)
+    return class_matrix(nat, F.src, F.dst, sums)
+
+
+def class_matrix(nat, src, dst, sums):
+    """The natural-system element whose (j, i) entry is the class of the j-part of sums[i]."""
+    entries = {}
+    for i, acc in enumerate(sums):
+        for j in range(dst.size):
             vec = {q: c for (jj, q), c in acc.coeffs.items() if jj == j}
             if not vec:
                 continue
-            r = F.src.degree(i) - F.dst.degree(j)
+            r = src.degree(i) - dst.degree(j)
             entries[(j, i)] = nat.hom.class_of(vec, r)
-    return NatElem.build(nat.k, F.src, F.dst, entries)
+    return NatElem.build(nat.k, src, dst, entries)
 
 
 def h0_matrix(f, h0):

@@ -24,15 +24,7 @@ from kq.cubical import (
     is_regular_sequence,
     point_ball,
 )
-from kq.oracle_support import (
-    EnumerationBudget,
-    choice_space_size,
-    enumerate_self_homotopies,
-    obstruction_via_action,
-    random_morphism,
-    self_homotopy_space,
-    solve_chain_map,
-)
+from kq.oracle_support import EnumerationBudget, choice_space_size
 from kq.toda import (
     MorphismSequence,
     adams_d,
@@ -60,6 +52,13 @@ from kq.track import (
 
 from conftest import make_massey_algebra, make_two_level_algebra
 from randalg import bracket_instances, budget_feasible, random_valid_algebra
+from track_helpers import (
+    enumerate_self_homotopies,
+    obstruction_via_action,
+    random_morphism,
+    self_homotopy_space,
+    solve_chain_map,
+)
 from test_cubical import (
     dd_is_zero,
     diagonal_is_chain_map,

@@ -323,3 +323,45 @@ def test_help_still_exits_zero(capsys):
         main(["-h"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _window_cut_algebra(tmp_path):
+    """Z/2, truncation 1, rMax 1: a, b, c in bidegree (1,0), no products, no differential."""
+    doc = {
+        "modulus": 2,
+        "truncation": 1,
+        "rMax": 1,
+        "unit": "1",
+        "basis": [{"name": "1", "r": 0, "s": 0}] + [{"name": x, "r": 1, "s": 0} for x in "abc"],
+        "differential": [],
+        "products": [],
+    }
+    path = tmp_path / "window_cut.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_window_cut_bracket_is_unsound(capsys, tmp_path):
+    # a*b and b*c escape rMax, so the zero bracket rests on the cutoff
+    code, out, _ = run_cli(
+        capsys,
+        "toda",
+        "--algebra",
+        _window_cut_algebra(tmp_path),
+        "--sequence",
+        str(FIXTURES / "massey_sequence_abc.json"),
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "degree_window_unsound"
+
+
+def test_window_cut_oracle_is_a_user_error(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys,
+        "oracle",
+        "--algebra",
+        _window_cut_algebra(tmp_path),
+        "--sequence",
+        str(FIXTURES / "massey_sequence_abc.json"),
+    )
+    _assert_user_error(code, out, "crossed the degree window")

@@ -13,7 +13,6 @@ from kq.cubical import (
     is_chain_map,
     point_ball,
 )
-from kq.oracle_support import random_morphism, solve_chain_map
 from kq.track import (
     act,
     act_nat,
@@ -33,6 +32,7 @@ from kq.track import (
 )
 
 from conftest import make_massey_algebra
+from track_helpers import random_morphism, solve_chain_map
 
 
 @pytest.fixture
@@ -53,7 +53,8 @@ def test_paste_with_opposite_is_constant(qm):
     f = random_morphism(ball, L, M, qm, rng)
     w = constant_homotopy(f)
     # perturb the sleeve to get a nonconstant self-homotopy
-    from kq.oracle_support import enumerate_self_homotopies, EnumerationBudget
+    from kq.oracle_support import EnumerationBudget
+    from track_helpers import enumerate_self_homotopies
 
     for h in enumerate_self_homotopies(f, EnumerationBudget(2**10)):
         combined = paste(h, opposite(h))
@@ -69,7 +70,8 @@ def test_action_associativity_exact(qm):
     face = facet_ball(2, 0, 0)
     face_cells = set(face.basis.dims)
     f_face = restrict_to_ball(F, face)
-    from kq.oracle_support import enumerate_self_homotopies, EnumerationBudget
+    from kq.oracle_support import EnumerationBudget
+    from track_helpers import enumerate_self_homotopies
 
     wits = list(enumerate_self_homotopies(f_face, EnumerationBudget(2**12)))
     for g in wits[:3]:

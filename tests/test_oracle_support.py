@@ -13,9 +13,9 @@ from kq.oracle_support import (
     solution_count,
 )
 from kq.track import extend, obstruction
-from kq.oracle_support import random_morphism
 
 from conftest import make_massey_algebra
+from track_helpers import random_morphism
 
 
 def test_enumerate_affine_counting_examples():

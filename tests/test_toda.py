@@ -373,7 +373,7 @@ def _instance_with_free_parameters():
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
 def test_walk_solves_each_state_once(walk, monkeypatch):
     q, seq = _instance_with_free_parameters()
-    calls = {"extend": 0, "enumerate": 0}
+    calls = {"solve": 0, "enumerate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -382,7 +382,7 @@ def test_walk_solves_each_state_once(walk, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(kq.toda, "extend", counted("extend", kq.toda.extend))
+    monkeypatch.setattr(kq.toda._Tower, "solve", counted("solve", kq.toda._Tower.solve))
     monkeypatch.setattr(
         kq.toda, "enumerate_block_choices", counted("enumerate", kq.toda.enumerate_block_choices)
     )
@@ -392,7 +392,7 @@ def test_walk_solves_each_state_once(walk, monkeypatch):
         build_chain_complex(q, seq, 1, search_budget=EnumerationBudget(2**14))
     # at order 1 every stage is solvable, so each non-leaf state enumerates its choices once
     assert calls["enumerate"] > 1
-    assert calls["extend"] == calls["enumerate"]
+    assert calls["solve"] == calls["enumerate"]
 
 
 def test_standard_balls_are_shared_and_stay_pristine():

@@ -15,11 +15,7 @@ from kq.errors import UserInputError
 from kq.oracle_support import (
     EnumerationBudget,
     enumerate_block_choices,
-    enumerate_self_homotopies,
-    obstruction_via_action,
-    random_morphism,
     choice_space_size,
-    self_homotopy_space,
 )
 from kq.track import (
     act_nat,
@@ -49,6 +45,12 @@ from kq.track import (
 )
 
 from conftest import make_massey_algebra, make_z4_algebra
+from track_helpers import (
+    enumerate_self_homotopies,
+    obstruction_via_action,
+    random_morphism,
+    self_homotopy_space,
+)
 
 
 @pytest.fixture
