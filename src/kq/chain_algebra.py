@@ -257,9 +257,6 @@ class HClass:
     def is_zero(self):
         return not any(self.coords)
 
-    def rep_vec(self):
-        return dict(self.rep)
-
 
 class Homology:
     """H_k of a chain algebra, presented per upper degree."""
@@ -637,6 +634,7 @@ class NatSystem:
         """Post-compose with an H0 matrix given by degree-0 cycle entries.
 
         matrix: dict (t, j) -> algebra vector, a map elem.dst -> new_dst.
+        None if the window cut off one of the products.
         """
         out = {}
         for j, i, h in elem.entries:
@@ -645,13 +643,13 @@ class NatSystem:
                     continue
                 prod, flag = self.Q.elem_mul(q, dict(h.rep))
                 if flag:
-                    raise UserInputError("window cutoff inside a natural-system action")
+                    return None
                 cur = out.get((t, i), {})
                 out[(t, i)] = vec_add(cur, prod, m=self.Q.m)
         return self.from_cycles(elem.src, new_dst, out)
 
     def act_pre(self, elem, matrix, new_src):
-        """Pre-compose with an H0 matrix: matrix maps new_src -> elem.src."""
+        """Pre-compose with an H0 matrix: matrix maps new_src -> elem.src; None on a window cut."""
         out = {}
         for j, i, h in elem.entries:
             for (ii, t), q in matrix.items():
@@ -659,7 +657,7 @@ class NatSystem:
                     continue
                 prod, flag = self.Q.elem_mul(dict(h.rep), q)
                 if flag:
-                    raise UserInputError("window cutoff inside a natural-system action")
+                    return None
                 cur = out.get((j, t), {})
                 out[(j, t)] = vec_add(cur, prod, m=self.Q.m)
         return self.from_cycles(new_src, elem.dst, out)

@@ -28,6 +28,8 @@ from .documents import (
 from .errors import BudgetExceededError, UserInputError
 from .oracle_support import DEFAULT_BUDGET, EnumerationBudget
 from .toda import (
+    DEFINED,
+    WINDOW_UNSOUND,
     MorphismSequence,
     adams_d,
     build_chain_complex,
@@ -142,9 +144,11 @@ def run(args):
         res = toda_bracket(algebra, seq, n, nat=nat)
         result.update(_bracket_payload(res, nat))
         if n == 1:
-            result["indeterminacy_generators"] = [
-                nat_to_dict(g) for g in triple_indeterminacy(algebra, seq, nat=nat)
-            ]
+            gens = triple_indeterminacy(algebra, seq, nat=nat)
+            if gens is not None:
+                result["indeterminacy_generators"] = [nat_to_dict(g) for g in gens]
+            elif res.status == DEFINED:  # the window cut off a product of the indeterminacy
+                result["status"] = WINDOW_UNSOUND
         return result
 
     if args.command == "oracle":

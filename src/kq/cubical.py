@@ -101,19 +101,6 @@ class CubicalComplex:
     ambient: int
     cells: frozenset
 
-    @staticmethod
-    def from_cells(ambient, cells, check=True):
-        cells = frozenset(cells)
-        for w in cells:
-            if len(w) != ambient or any(ch not in "01*" for ch in w):
-                raise UserInputError(f"bad cell word {w!r} for ambient {ambient}")
-        if check:
-            for w in cells:
-                for f in cell_faces(w):
-                    if f not in cells:
-                        raise UserInputError(f"cell set not downward closed at {w!r} -> {f!r}")
-        return CubicalComplex(ambient, cells)
-
     def cells_of_dim(self, k):
         return sorted(w for w in self.cells if cell_dim(w) == k)
 

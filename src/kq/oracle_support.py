@@ -7,6 +7,7 @@ of visited states and aborts cleanly when exceeded.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -40,41 +41,26 @@ def _effective_ranges(solutions):
 
 
 def solution_count(solutions):
-    n = 1
-    for r in _effective_ranges(solutions):
-        n *= r
-    return n
-
-
-def enumerate_affine(solutions, budget=None):
-    """All members of an affine solution set, each exactly once, in order."""
-    budget = budget or EnumerationBudget()
-    ranges = _effective_ranges(solutions)
-    total = 1
-    for r in ranges:
-        total *= r
-    budget.charge(total)
-    for coeffs in itertools.product(*[range(r) for r in ranges]):
-        yield solutions.member(coeffs)
+    return math.prod(_effective_ranges(solutions))
 
 
 def enumerate_block_choices(result, budget=None):
-    """All choice dictionaries for a SolveResult, exactly one per member."""
+    """All choice dictionaries for a SolveResult, exactly one per member.
+
+    The budget is charged for every member before the first is built; the
+    members are then produced one at a time from a single product over the
+    ranges of every block, each tuple split back into its blocks.
+    """
     budget = budget or EnumerationBudget()
-    per_block = []
-    for b in result.blocks:
-        ranges = _effective_ranges(b.solutions)
-        per_block.append([b.generator, list(itertools.product(*[range(r) for r in ranges]))])
-    total = 1
-    for _, opts in per_block:
-        total *= len(opts)
-    budget.charge(total)
-    for combo in itertools.product(*[opts for _, opts in per_block]):
-        yield {gen: tuple(c) for (gen, _), c in zip(per_block, combo)}
+    blocks = [(b.generator, _effective_ranges(b.solutions)) for b in result.blocks]
+    budget.charge(math.prod(r for _, ranges in blocks for r in ranges))
+    for coeffs in itertools.product(*[range(r) for _, ranges in blocks for r in ranges]):
+        choice, start = {}, 0
+        for gen, ranges in blocks:
+            choice[gen] = coeffs[start : start + len(ranges)]
+            start += len(ranges)
+        yield choice
 
 
 def choice_space_size(result):
-    n = 1
-    for b in result.blocks:
-        n *= solution_count(b.solutions)
-    return n
+    return math.prod(solution_count(b.solutions) for b in result.blocks)

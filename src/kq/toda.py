@@ -16,7 +16,7 @@ the first coherent leaf.
 from dataclasses import dataclass, field
 
 from .chain_algebra import ModElem, NatSystem, pair_basis
-from .cubical import cube_ball
+from .cubical import Ball, ChainBasis
 from .errors import UserInputError
 from .exact_linalg import solve_dense
 from .oracle_support import EnumerationBudget, enumerate_block_choices
@@ -68,7 +68,7 @@ class HigherChainComplex:
 
     seq: MorphismSequence
     order: int
-    data: dict  # (index i, level k) -> TrackMorphism over the k-cube, valued on its top cell only
+    data: dict  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
     choice_log: list = field(default_factory=list)
 
 
@@ -76,7 +76,7 @@ class HigherChainComplex:
 class _Tower:
     """Nullhomotopy data with the choice log that built it."""
 
-    data: dict  # (index i, level k) -> TrackMorphism over the k-cube, valued on its top cell only
+    data: dict  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
     log: list = field(default_factory=list)
 
     @staticmethod
@@ -123,7 +123,8 @@ class _Tower:
                 reason = "no solution to the chain conditions"
                 return None, {"generator": src.name(gen), "unknowns": len(slots), "reason": reason}
             blocks.append(SolveBlock(gen, [(top, key) for key in slots], sol, ()))
-        return SolveResult(TrackMorphism(cube_ball(k), src, dst, Q, {}, tainted), blocks), None
+        ball = Ball(ChainBasis({top: k}, {}), frozenset(), top)
+        return SolveResult(TrackMorphism(ball, src, dst, Q, {}, tainted), blocks), None
 
     def with_level(self, i, k, res):
         data = {**self.data, (i, k): res.morphism}
@@ -165,7 +166,19 @@ def _walk(tower, stages, options, budget=None):
         yield from _walk(tower.with_level(i, k, res.instantiate(choice)), stages[1:], options, budget)
 
 
-def _bracket(tower, length, n, nat, choices):
+def _every_choice(budget):
+    """The option function that enumerates every member of each stage within budget."""
+    return lambda stage, res: enumerate_block_choices(res, budget)
+
+
+def _nat_system(Q, n, nat):
+    """nat, or the level-n natural system of Q, once Q is known to be n-truncated."""
+    if Q.n != n:
+        raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
+    return nat or NatSystem(Q, n)
+
+
+def _bracket(tower, length, n, nat, choices=None):
     """The deterministic walk: the pinned choice or the particular solution per stage."""
     pinned = choices or {}
     leaf = _walk(tower, _stages(tower, length, n), lambda stage, res: [pinned.get(stage)])
@@ -179,29 +192,21 @@ def _bracket(tower, length, n, nat, choices):
 
 def toda_bracket(Q, seq, n, choices=None, nat=None):
     """Deterministic representative of the order-n bracket of an (n+2)-sequence; Q must be valid."""
-    if Q.n != n:
-        raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
+    nat = _nat_system(Q, n, nat)
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
-    nat = nat or NatSystem(Q, n)
     return _bracket(_Tower.start(seq), seq.length, n, nat, choices)
 
 
 def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
     """The exact bracket set by exhaustive enumeration of every choice; Q must be valid."""
-    if Q.n != n:
-        raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
+    nat = _nat_system(Q, n, nat)
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
-    nat = nat or NatSystem(Q, n)
     budget = budget if budget is not None else EnumerationBudget()
     found = {}
-
-    def every_choice(stage, res):
-        return enumerate_block_choices(res, budget)
-
     tower = _Tower.start(seq)
-    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), every_choice, budget):
+    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), _every_choice(budget), budget):
         if fail is not None:
             continue
         rep, tainted = leaf.obstruction(1, n, nat)
@@ -215,7 +220,8 @@ def triple_indeterminacy(Q, seq, nat=None):
     """Generators of the indeterminacy subgroup of a triple bracket.
 
     The subgroup of D^1(X3, X0) generated by precomposition of D^1(X2, X0)
-    with the last map and postcomposition of D^1(X3, X1) with the first.
+    with the last map and postcomposition of D^1(X3, X1) with the first;
+    None if the degree window cut off one of those products.
     """
     if seq.length != 3:
         raise UserInputError("triple indeterminacy needs exactly 3 maps")
@@ -237,6 +243,8 @@ def triple_indeterminacy(Q, seq, nat=None):
                 coords = tuple(int(s == t) for s in range(pres.rank))
                 h = nat.hom.class_from_coords(r, coords)
                 img = act(nat.from_cycles(src, dst, {(j, i): dict(h.rep)}))
+                if img is None:
+                    return None
                 if not img.is_zero():
                     gens.append(img)
     seen = {}
@@ -255,24 +263,16 @@ def _pt_entries(f):
     return out
 
 
-def build_chain_complex(Q, seq, n, choices=None, search_budget=None, nat=None):
+def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
     """Coherent data with every window obstruction vanishing, if it exists.
 
-    The pinned deterministic choices are tried first; on failure a bounded
-    exhaustive search over all solver choices looks for a coherent
-    assignment.  Returns (HigherChainComplex, None) or (None, failure).
-    Q must already be valid.
+    A bounded exhaustive search over all solver choices, whose first leaf is
+    the deterministic one, looks for a coherent assignment.  Returns
+    (HigherChainComplex, None) or (None, failure).  Q must already be valid.
     """
-    if Q.n != n:
-        raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
-    nat = nat or NatSystem(Q, n)
+    nat = _nat_system(Q, n, nat)
     budget = search_budget if search_budget is not None else EnumerationBudget(2**14)
     windows = list(range(1, seq.length - n))  # F_i^n needs maps i .. i+n+1
-
-    def options(stage, res):
-        if choices and stage in choices:
-            return [choices[stage]]
-        return enumerate_block_choices(res, budget)
 
     def window_failure(tower):
         for i in windows:
@@ -283,7 +283,7 @@ def build_chain_complex(Q, seq, n, choices=None, search_budget=None, nat=None):
 
     tower = _Tower.start(seq)
     last_failure = {}
-    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), options, budget):
+    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), _every_choice(budget), budget):
         if fail is None:
             fail = window_failure(leaf)
         if fail is None:
@@ -293,7 +293,7 @@ def build_chain_complex(Q, seq, n, choices=None, search_budget=None, nat=None):
     return None, last_failure
 
 
-def adams_d(Q, complex_, beta, n, choices=None, nat=None):
+def adams_d(Q, complex_, beta, n, nat=None):
     """Representative of the next differential on a class given by beta.
 
     complex_ carries coherent data for the resolution window; the sequence is
@@ -301,15 +301,13 @@ def adams_d(Q, complex_, beta, n, choices=None, nat=None):
     beta is built at levels 1..n reusing the window data, and the obstruction
     of the final corner sum is returned.  Q must already be valid.
     """
-    if Q.n != n:
-        raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
+    nat = _nat_system(Q, n, nat)
     if complex_.order != n:
         raise UserInputError("the chain complex must be built at the same order")
     if complex_.seq.length < n + 1:
         raise UserInputError(f"resolution window too short: need {n + 1} maps")
     if beta.dst != complex_.seq.modules[n + 1]:
         raise UserInputError("the class lift must land in the end of the window")
-    nat = nat or NatSystem(Q, n)
     modules = list(complex_.seq.modules[: n + 2]) + [beta.src]
     maps = list(complex_.seq.maps[: n + 1]) + [beta]
     aug = MorphismSequence.of(modules, maps)
@@ -318,4 +316,4 @@ def adams_d(Q, complex_, beta, n, choices=None, nat=None):
         for (i, k) in complex_.data
         if i + k <= n + 1 and k >= 1
     }
-    return _bracket(_Tower.start(aug, prescribed), aug.length, n, nat, choices)
+    return _bracket(_Tower.start(aug, prescribed), aug.length, n, nat)

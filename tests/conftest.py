@@ -1,6 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from kq.chain_algebra import ChainAlgebra, GradedModule
+
+# the CLI subprocesses (python -m kq) import the package from this checkout
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def make_massey_algebra():

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,11 @@ import pytest
 import kq.cli
 from kq.cli import main
 from kq.errors import InternalInvariantError
-from kq.documents import algebra_to_dict, parse_algebra
+from kq.documents import algebra_to_dict, parse_algebra, parse_sequence
+from kq.toda import toda_bracket
+
+from test_closed_form import universal
+from test_golden_stdout import window_cut
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -365,3 +370,53 @@ def test_window_cut_oracle_is_a_user_error(capsys, tmp_path):
         str(FIXTURES / "massey_sequence_abc.json"),
     )
     _assert_user_error(code, out, "crossed the degree window")
+
+
+def test_order_one_toda_on_window_cut_universal_algebra(capsys, tmp_path):
+    # the order-1 universal algebra with the free cycle over Z/2, rMax lowered
+    # from 3 to 2: the window cuts off the products of the bracket and of its
+    # indeterminacy, so the bracket is reported unsound without indeterminacy
+    rng = random.Random(3)
+    algebra_doc = window_cut(universal.algebra_doc(1, 2, rng, free_cycle=True), 2)
+    sequence_doc = universal.sequence_doc(1, universal.draw_units(1, 2, rng))
+    paths = []
+    for name, doc in (("algebra", algebra_doc), ("sequence", sequence_doc)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        capsys, "toda", "--algebra", str(paths[0]), "--sequence", str(paths[1]), "--n", "1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "degree_window_unsound"
+    assert "representative" in doc
+    assert [entry["stage"] for entry in doc["choice_log"]] == ["level 1 index 1", "level 1 index 2"]
+    assert "indeterminacy_generators" not in doc
+
+
+def test_window_cut_indeterminacy_makes_bracket_unsound(capsys, tmp_path):
+    # rMax 2 with a free cycle z in bidegree (2,1) and no products: the zero
+    # bracket multiplies nothing, but its indeterminacy needs z*c, which the
+    # window cuts off
+    doc = {
+        "modulus": 2,
+        "truncation": 1,
+        "rMax": 2,
+        "unit": "1",
+        "basis": [{"name": "1", "r": 0, "s": 0}]
+        + [{"name": x, "r": 1, "s": 0} for x in "abc"]
+        + [{"name": "z", "r": 2, "s": 1}],
+        "differential": [],
+        "products": [],
+    }
+    sequence = FIXTURES / "massey_sequence_abc.json"
+    algebra, _ = parse_algebra(doc)
+    seq = parse_sequence(json.loads(sequence.read_text()), algebra)
+    assert toda_bracket(algebra, seq, 1).status == "defined"
+    path = tmp_path / "cut_indeterminacy.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "toda", "--algebra", str(path), "--sequence", str(sequence))
+    assert code == 0
+    result = json.loads(out)
+    assert result["status"] == "degree_window_unsound"
+    assert "indeterminacy_generators" not in result

@@ -14,7 +14,6 @@ from kq.cubical import (
     cube_ball,
     cube_boundary_complex,
     cube_complex,
-    CubicalComplex,
     facet_ball,
     facet_complex,
     is_chain_map,
@@ -176,11 +175,6 @@ def test_corner_union_is_cube_boundary():
         lo = corner_faces_complex(n, 0)
         hi = corner_faces_complex(n, 1)
         assert lo.union(hi).cells == cube_boundary_complex(n).cells
-
-
-def test_downward_closure_rejected():
-    with pytest.raises(UserInputError):
-        CubicalComplex.from_cells(2, {"**"})
 
 
 def test_regular_sequence_validation():

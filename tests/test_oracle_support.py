@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,38 +10,62 @@ from kq.errors import BudgetExceededError
 from kq.exact_linalg import AffineSolutionSet, howell_form, solve_dense
 from kq.oracle_support import (
     EnumerationBudget,
-    enumerate_affine,
+    enumerate_block_choices,
     solution_count,
 )
-from kq.track import extend, obstruction
+from kq.track import SolveBlock, SolveResult, extend, obstruction
 
 from conftest import make_massey_algebra
 from track_helpers import random_morphism
 
 
-def test_enumerate_affine_counting_examples():
+def one_block(s):
+    return SolveResult(None, [SolveBlock(0, [], s, ())])
+
+
+def members(s, budget=None):
+    """The members of s, one per choice enumerate_block_choices makes on a one-block result."""
+    return [s.member(choice[0]) for choice in enumerate_block_choices(one_block(s), budget)]
+
+
+def test_enumerate_block_choices_counting_examples():
     # kernel rank 0: exactly the particular solution
     s = AffineSolutionSet((1, 2), (), 4)
-    assert list(enumerate_affine(s)) == [(1, 2)]
+    assert members(s) == [(1, 2)]
     # rank 2 over Z/2: 4 vectors
     basis = howell_form([(1, 0), (0, 1)], 2, 2)
     s = AffineSolutionSet((0, 0), basis, 2)
-    assert sorted(enumerate_affine(s)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(members(s)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # rank 1 over Z/4 with a full-order direction: 4 vectors
     basis = howell_form([(1, 2)], 2, 4)
     s = AffineSolutionSet((0, 0), basis, 4)
-    assert len(list(enumerate_affine(s))) == 4 == solution_count(s)
+    assert len(members(s)) == 4 == solution_count(s)
     # a direction of order 2 contributes 2 members, each exactly once
     basis = howell_form([(2,)], 1, 4)
     s = AffineSolutionSet((1,), basis, 4)
-    assert sorted(enumerate_affine(s)) == [(1,), (3,)]
+    assert sorted(members(s)) == [(1,), (3,)]
 
 
-def test_enumerate_affine_budget():
+def test_enumerate_block_choices_budget():
     basis = howell_form([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3, 4)
     s = AffineSolutionSet((0, 0, 0), basis, 4)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_affine(s, EnumerationBudget(10)))
+        members(s, EnumerationBudget(10))
+
+
+def test_enumerate_block_choices_charges_before_building():
+    # one block with 2^18 members: the budget stops the walk before any is built
+    dim = 18
+    basis = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    choices = enumerate_block_choices(one_block(AffineSolutionSet((0,) * dim, basis, 2)), EnumerationBudget(10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            next(choices)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("m,dim,trials", [(2, 12, 6), (4, 6, 6)])

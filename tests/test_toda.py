@@ -411,3 +411,31 @@ def test_standard_balls_are_shared_and_stay_pristine():
         assert shared.basis.dims == fresh.basis.dims
         assert shared.basis.bnd == fresh.basis.bnd
         assert shared.boundary == fresh.boundary
+
+
+def test_tower_stages_build_no_cube_balls():
+    rng = random.Random(4)
+    algebra, _ = parse_algebra(universal.algebra_doc(4, 2, rng))
+    seq = parse_sequence(universal.sequence_doc(4, universal.draw_units(4, 2, rng)), algebra)
+    cube_ball.cache_clear()
+    assert toda_bracket(algebra, seq, 4).status == DEFINED
+    assert cube_ball.cache_info().misses == 0
+
+
+def test_replay_pinned_choice():
+    rng = random.Random(24)
+    algebra, _ = parse_algebra(universal.algebra_doc(2, 4, rng, free_cycle=True))
+    seq = parse_sequence(universal.sequence_doc(2, universal.draw_units(2, 4, rng)), algebra)
+    default = toda_bracket(algebra, seq, 2)
+    stage = {"stage": "level 1 index 2", "generator": 0, "free_parameters": 1, "chosen": [0]}
+    assert stage in default.choice_log
+    res = toda_bracket(algebra, seq, 2, choices={(2, 1): {0: (3,)}})
+    assert res.status == DEFINED
+    assert {**stage, "chosen": [3]} in res.choice_log
+    assert [e for e in res.choice_log if e["stage"] != "level 1 index 2"] == [
+        e for e in default.choice_log if e["stage"] != "level 1 index 2"
+    ]
+    bracket_set = oracle_bracket_set(algebra, seq, 2, EnumerationBudget(2**14))
+    assert res.representative.coords_key() in [r.coords_key() for r in bracket_set]
+    with pytest.raises(UserInputError):
+        toda_bracket(algebra, seq, 2, choices={(2, 1): {0: (1, 0)}})

@@ -250,7 +250,7 @@ def compare(Q, seq, n, budget=2**12, walks=("toda", "oracle", "chain-complex", "
             assert [r.coords_key() for r in got] == [r.coords_key() for r in want]
     window = MorphismSequence.of(seq.modules[: n + 2], seq.maps[: n + 1])
     if "chain-complex" in walks or "adams-d" in walks:
-        got, err = _outcome(build_chain_complex, Q, window, n, None, EnumerationBudget(budget))
+        got, err = _outcome(build_chain_complex, Q, window, n, EnumerationBudget(budget))
         want, ref_err = _outcome(cubical_build_chain_complex, Q, window, n, EnumerationBudget(budget))
         assert err == ref_err
         if got is not None:
@@ -260,7 +260,7 @@ def compare(Q, seq, n, budget=2**12, walks=("toda", "oracle", "chain-complex", "
         res, ref = adams_d(Q, got[0], beta, n), cubical_adams_d(Q, want[0], beta, n)
         assert _bracket_key(res) == _bracket_key(ref)
     if "chain-complex" in walks:
-        got, err = _outcome(build_chain_complex, Q, seq, n, None, EnumerationBudget(budget))
+        got, err = _outcome(build_chain_complex, Q, seq, n, EnumerationBudget(budget))
         want, ref_err = _outcome(cubical_build_chain_complex, Q, seq, n, EnumerationBudget(budget))
         assert err == ref_err
         if got is not None:
