@@ -109,6 +109,20 @@ class ChainAlgebra:
             return {a: 1}, False
         return {}, False
 
+    def partners(self):
+        """x -> the y with x*y possibly nonzero: a declared pair or a unit row.
+
+        Built from the current tables, which callers may have edited since
+        __init__.
+        """
+        out = defaultdict(set)
+        for x, y in self.mul:
+            out[x].add(y)
+        for x in self.names:
+            out[self.unit].add(x)
+            out[x].add(self.unit)
+        return out
+
     def elem_d(self, vec):
         out = {}
         for a, c in vec.items():
@@ -179,18 +193,14 @@ class ChainAlgebra:
         # mul_of(x, y) is nonzero only for a declared pair or a unit row, so a
         # Leibniz pair or an associativity triple in which no such product
         # occurs has {} on both sides; only the others are visited, in the
-        # order of the exhaustive loops.  Built from the current tables, which
-        # callers may have edited since __init__.
-        partners = defaultdict(set)  # x -> the y with x*y possibly nonzero
+        # order of the exhaustive loops.
+        partners = self.partners()
         makers = defaultdict(set)  # z -> the pairs (x, y) whose x*y may contain z
         hit_by = defaultdict(set)  # y -> the b with y in d(b)
         for (x, y), row in self.mul.items():
-            partners[x].add(y)
             for z in row:
                 makers[z].add((x, y))
         for x in self.names:
-            partners[self.unit].add(x)
-            partners[x].add(self.unit)
             makers[x].update(((self.unit, x), (x, self.unit)))
         for b, row in self.diff.items():
             for y in row:
@@ -293,10 +303,6 @@ class Homology:
 
     def presentation(self, r):
         return self._pres.get(r)
-
-    def rank_data(self, r):
-        pres = self.presentation(r)
-        return () if pres is None else pres.order_exps
 
     def size(self, r):
         pres = self.presentation(r)
@@ -427,15 +433,23 @@ def truncate(Q, n2):
         row = project(img, r, s - 1)
         if row:
             diff[name] = row
+    # only the pairs whose lifts contain partners can have a nonzero product
+    partners = Q.partners()
+    lifted_in = defaultdict(set)  # old basis name -> the new names whose lift contains it
+    for name in new_names:
+        for x in lifts[name][0]:
+            lifted_in[x].add(name)
+    position = {name: t for t, name in enumerate(new_names)}
     for a in new_names:
         va, ra, sa = lifts[a]
-        for b in new_names:
+        near = {b for x in va for y in partners[x] for b in lifted_in[y]}
+        for b in sorted(near, key=position.__getitem__):
             vb, rb, sb = lifts[b]
-            if ra + rb > Q.r_max or sa + sb > n2:
+            if a == Q.unit or b == Q.unit or ra + rb > Q.r_max or sa + sb > n2:
                 continue
             prod, _ = Q.elem_mul(va, vb)
             row = project(prod, ra + rb, sa + sb)
-            if row and not (a == Q.unit or b == Q.unit):
+            if row:
                 mul[(a, b)] = row
     out = ChainAlgebra(Q.m, n2, Q.r_max, elements, Q.unit, diff, mul)
     bad = out.validate()
@@ -533,9 +547,6 @@ class ModElem:
                     out[(j, x)] = out.get((j, x), 0) + c * cb * v
         return ModElem(self.module, self.Q, out, tainted).clean()
 
-    def to_vector(self, basis):
-        return [self.coeffs.get(key, 0) % self.Q.m for key in basis]
-
     @staticmethod
     def zero(module, Q):
         return ModElem(module, Q, {})
@@ -583,7 +594,11 @@ class NatElem:
 
 
 class NatSystem:
-    """The level-k coefficient system: matrices over H_k with H_0 actions."""
+    """The level-k coefficient system: matrices over H_k between free graded modules.
+
+    Composing such a matrix with maps over the point is done at the chain
+    level, with track.apply_q_linear, and read back with track.class_matrix.
+    """
 
     def __init__(self, Q, k, hom=None, h0=None):
         self.Q = Q
@@ -629,38 +644,6 @@ class NatSystem:
     def scale(self, a, c):
         out = {(j, i): vec_scale(dict(h.rep), c, self.Q.m) for j, i, h in a.entries}
         return self.from_cycles(a.src, a.dst, out)
-
-    def act_post(self, matrix, new_dst, elem):
-        """Post-compose with an H0 matrix given by degree-0 cycle entries.
-
-        matrix: dict (t, j) -> algebra vector, a map elem.dst -> new_dst.
-        None if the window cut off one of the products.
-        """
-        out = {}
-        for j, i, h in elem.entries:
-            for (t, jj), q in matrix.items():
-                if jj != j:
-                    continue
-                prod, flag = self.Q.elem_mul(q, dict(h.rep))
-                if flag:
-                    return None
-                cur = out.get((t, i), {})
-                out[(t, i)] = vec_add(cur, prod, m=self.Q.m)
-        return self.from_cycles(elem.src, new_dst, out)
-
-    def act_pre(self, elem, matrix, new_src):
-        """Pre-compose with an H0 matrix: matrix maps new_src -> elem.src; None on a window cut."""
-        out = {}
-        for j, i, h in elem.entries:
-            for (ii, t), q in matrix.items():
-                if ii != i:
-                    continue
-                prod, flag = self.Q.elem_mul(dict(h.rep), q)
-                if flag:
-                    return None
-                cur = out.get((j, t), {})
-                out[(j, t)] = vec_add(cur, prod, m=self.Q.m)
-        return self.from_cycles(new_src, elem.dst, out)
 
     def size(self, src, dst):
         total = 1

@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from . import __version__
-from .chain_algebra import NatSystem, homology, truncate
+from .chain_algebra import homology, truncate
 from .documents import (
     algebra_to_dict,
     nat_to_dict,
@@ -33,6 +33,7 @@ from .toda import (
     MorphismSequence,
     adams_d,
     build_chain_complex,
+    nat_system,
     oracle_bracket_set,
     toda_bracket,
     triple_indeterminacy,
@@ -86,7 +87,7 @@ def _load_sequence(args, result, algebra):
     return parse_sequence(doc, algebra)
 
 
-def _bracket_payload(res, nat):
+def _bracket_payload(res):
     out = {"status": res.status, "choice_log": res.choice_log}
     if res.representative is not None:
         out["representative"] = nat_to_dict(res.representative)
@@ -136,13 +137,14 @@ def run(args):
         result["modules"] = presentation_to_dict(hom, algebra.r_max)
         return result
 
+    algebra, _ = _load_algebra(args, result)
+    seq = _load_sequence(args, result, algebra)
+    n = args.n if args.n is not None else algebra.n
+    nat = nat_system(algebra, n)
+
     if args.command in ("massey", "toda"):
-        algebra, _ = _load_algebra(args, result)
-        seq = _load_sequence(args, result, algebra)
-        n = args.n if args.n is not None else algebra.n
-        nat = NatSystem(algebra, n)
         res = toda_bracket(algebra, seq, n, nat=nat)
-        result.update(_bracket_payload(res, nat))
+        result.update(_bracket_payload(res))
         if n == 1:
             gens = triple_indeterminacy(algebra, seq, nat=nat)
             if gens is not None:
@@ -152,20 +154,13 @@ def run(args):
         return result
 
     if args.command == "oracle":
-        algebra, _ = _load_algebra(args, result)
-        seq = _load_sequence(args, result, algebra)
-        n = args.n if args.n is not None else algebra.n
-        nat = NatSystem(algebra, n)
         reps = oracle_bracket_set(algebra, seq, n, budget=_budget(args), nat=nat)
         result["bracket_set"] = [nat_to_dict(r) for r in reps]
         result["set_size"] = len(reps)
         return result
 
     if args.command == "chain-complex":
-        algebra, _ = _load_algebra(args, result)
-        seq = _load_sequence(args, result, algebra)
-        n = args.n if args.n is not None else algebra.n
-        hcc, fail = build_chain_complex(algebra, seq, n, search_budget=_budget(args))
+        hcc, fail = build_chain_complex(algebra, seq, n, search_budget=_budget(args), nat=nat)
         if hcc is None:
             result["status"] = "not_constructible"
             result["failed_step"] = fail.get("step")
@@ -178,16 +173,12 @@ def run(args):
         return result
 
     if args.command == "adams-d":
-        algebra, _ = _load_algebra(args, result)
-        seq = _load_sequence(args, result, algebra)
-        n = args.n if args.n is not None else algebra.n
         if seq.length != n + 2:
             raise UserInputError(
                 f"adams-d needs {n + 2} maps: the resolution window then the class lift"
             )
         window = MorphismSequence.of(seq.modules[: n + 2], seq.maps[: n + 1])
         beta = seq.maps[n + 1]
-        nat = NatSystem(algebra, n)
         hcc, fail = build_chain_complex(algebra, window, n, search_budget=_budget(args), nat=nat)
         if hcc is None:
             raise UserInputError(
@@ -195,7 +186,7 @@ def run(args):
                 detail=_jsonable(fail),
             )
         res = adams_d(algebra, hcc, beta, n, nat=nat)
-        result.update(_bracket_payload(res, nat))
+        result.update(_bracket_payload(res))
         return result
 
     raise UserInputError(f"unknown command {args.command!r}")

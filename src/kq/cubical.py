@@ -418,6 +418,16 @@ class CylinderComplex:
     def include_top(self):
         return {c: {self.top(c): 1} for c in self.base.cells()}
 
+    def reverse(self):
+        """The chain map that swaps the two ends and negates the sleeves."""
+        out = {}
+        for c in self.base.cells():
+            out[self.bottom(c)] = {self.top(c): 1}
+            out[self.top(c)] = {self.bottom(c): 1}
+            if c not in self.collapse:
+                out["e:" + c] = {"e:" + c: -1}
+        return out
+
     def projection(self):
         out = {}
         for c in self.base.cells():

@@ -124,6 +124,8 @@ def parse_sequence(doc, Q):
             col = _need(e, "col", f"maps[{t}].entries[{u}]", int)
             if not (0 <= row < dst.size and 0 <= col < src.size):
                 raise UserInputError(f"entry indices out of range at maps[{t}].entries[{u}]")
+            if (row, col) in entries:
+                raise UserInputError(f"duplicate map entry at maps[{t}].entries[{u}]")
             vec = _coeff_list(_need(e, "value", f"maps[{t}].entries[{u}]", list), f"maps[{t}].entries[{u}].value")
             need_r = src.degree(col) - dst.degree(row)
             for g in vec:

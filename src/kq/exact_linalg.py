@@ -209,10 +209,6 @@ class AffineSolutionSet:
     def kernel_rank(self):
         return len(self.kernel_basis)
 
-    def contains(self, vec):
-        diff = tuple((a - b) % self.m for a, b in zip(vec, self.particular))
-        return in_span(diff, self.kernel_basis, self.m)
-
     def member(self, coeffs):
         """particular + sum coeffs[i] * kernel_basis[i]."""
         out = list(self.particular)

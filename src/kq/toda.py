@@ -5,8 +5,10 @@ nullhomotopy data a(i,k) over the k-cube is built level by level as a
 defining system (Kraines 1966, May 1969).  Its only unknown is the value on
 the top cell, solved from d a(i,k) = sum_{r<k} (-1)^(r+1) a(i,r) a(i+r+1,k-1-r)
 with products of top cells and a(i,0) the i-th map; the sign is that of the
-facet with a 0 in slot r+1.  The bracket is the class of (-1)^(n+1) times
-the level-(n+1) sum for index 1.  Every solver choice is logged and can be
+facet with a 0 in slot r+1.  Each stage is one call of the track solver,
+solve_for_values, on the one-cell ball *^k with the corner sum as its
+right-hand side.  The bracket is the class of (-1)^(n+1) times the
+level-(n+1) sum for index 1.  Every solver choice is logged and can be
 replayed.  One depth-first walker over the choice tree serves every entry
 point: the bracket and adams-d follow one branch, the oracle visits every
 leaf to produce the exact bracket set, and the chain-complex search stops at
@@ -15,12 +17,11 @@ the first coherent leaf.
 
 from dataclasses import dataclass, field
 
-from .chain_algebra import ModElem, NatSystem, pair_basis
+from .chain_algebra import ModElem, NatSystem
 from .cubical import Ball, ChainBasis
 from .errors import UserInputError
-from .exact_linalg import solve_dense
 from .oracle_support import EnumerationBudget, enumerate_block_choices
-from .track import SolveBlock, SolveResult, TrackMorphism, apply_q_linear, class_matrix
+from .track import apply_q_linear, class_matrix, pt_morphism, solve_for_values
 
 DEFINED = "defined"
 NOT_CONSTRUCTIBLE = "not_constructible"
@@ -107,24 +108,12 @@ class _Tower:
         return class_matrix(nat, src, dst, [acc.scale(sign) for acc in sums]), tainted
 
     def solve(self, i, k):
-        """Solver blocks for the top cell of a(i,k): d a(i,k) = the corner sum."""
+        """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum."""
         src, dst, sums, tainted = self.corner_sum(i, k)
-        Q = self.data[(i, 0)].Q
         top = "*" * k
-        blocks = []
-        for gen in range(src.size):
-            deg = src.degree(gen)
-            slots = pair_basis(dst, Q, deg, k)
-            rows = pair_basis(dst, Q, deg, k - 1)
-            cols = [ModElem(dst, Q, {key: 1}).d().to_vector(rows) for key in slots]
-            A = [[col[t] for col in cols] for t in range(len(rows))]
-            sol = solve_dense(A, sums[gen].to_vector(rows), Q.m, cols=len(slots))
-            if sol is None:
-                reason = "no solution to the chain conditions"
-                return None, {"generator": src.name(gen), "unknowns": len(slots), "reason": reason}
-            blocks.append(SolveBlock(gen, [(top, key) for key in slots], sol, ()))
         ball = Ball(ChainBasis({top: k}, {}), frozenset(), top)
-        return SolveResult(TrackMorphism(ball, src, dst, Q, {}, tainted), blocks), None
+        rhs = {(top, gen): ModElem(dst, acc.Q, acc.coeffs, tainted) for gen, acc in enumerate(sums)}
+        return solve_for_values(ball, self.data[(i, 0)].Q, src, dst, {}, [top], rhs=rhs)
 
     def with_level(self, i, k, res):
         data = {**self.data, (i, k): res.morphism}
@@ -171,7 +160,7 @@ def _every_choice(budget):
     return lambda stage, res: enumerate_block_choices(res, budget)
 
 
-def _nat_system(Q, n, nat):
+def nat_system(Q, n, nat=None):
     """nat, or the level-n natural system of Q, once Q is known to be n-truncated."""
     if Q.n != n:
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
@@ -192,7 +181,7 @@ def _bracket(tower, length, n, nat, choices=None):
 
 def toda_bracket(Q, seq, n, choices=None, nat=None):
     """Deterministic representative of the order-n bracket of an (n+2)-sequence; Q must be valid."""
-    nat = _nat_system(Q, n, nat)
+    nat = nat_system(Q, n, nat)
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
     return _bracket(_Tower.start(seq), seq.length, n, nat, choices)
@@ -200,7 +189,7 @@ def toda_bracket(Q, seq, n, choices=None, nat=None):
 
 def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
     """The exact bracket set by exhaustive enumeration of every choice; Q must be valid."""
-    nat = _nat_system(Q, n, nat)
+    nat = nat_system(Q, n, nat)
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
     budget = budget if budget is not None else EnumerationBudget()
@@ -220,8 +209,9 @@ def triple_indeterminacy(Q, seq, nat=None):
     """Generators of the indeterminacy subgroup of a triple bracket.
 
     The subgroup of D^1(X3, X0) generated by precomposition of D^1(X2, X0)
-    with the last map and postcomposition of D^1(X3, X1) with the first;
-    None if the degree window cut off one of those products.
+    with the last map and postcomposition of D^1(X3, X1) with the first,
+    each product formed as in the tower; None if the degree window cut off
+    one of those products.
     """
     if seq.length != 3:
         raise UserInputError("triple indeterminacy needs exactly 3 maps")
@@ -229,38 +219,30 @@ def triple_indeterminacy(Q, seq, nat=None):
         raise UserInputError("triple indeterminacy is defined for 1-truncated algebras")
     nat = nat or NatSystem(Q, 1)
     X0, X1, X2, X3 = seq.modules
-    first = _pt_entries(seq.maps[0])
-    last = _pt_entries(seq.maps[2])
+    first, _, last = seq.maps
+    pt = first.ball
+    cell = pt.basis.cells()[0]
     sides = (
-        (X2, X0, lambda elem: nat.act_pre(elem, last, X3)),
-        (X3, X1, lambda elem: nat.act_post(first, X0, elem)),
+        (X2, X0, lambda e, t: apply_q_linear(e, cell, last.value(cell, t))),
+        (X3, X1, lambda e, t: apply_q_linear(first, cell, e.value(cell, t))),
     )
     gens = []
-    for src, dst, act in sides:
+    for src, dst, product in sides:
         for j, i, r in nat.slots(src, dst):
             pres = nat.hom.presentation(r)
             for t in range(pres.rank):
-                coords = tuple(int(s == t) for s in range(pres.rank))
-                h = nat.hom.class_from_coords(r, coords)
-                img = act(nat.from_cycles(src, dst, {(j, i): dict(h.rep)}))
-                if img is None:
+                h = nat.hom.class_from_coords(r, tuple(int(s == t) for s in range(pres.rank)))
+                e = pt_morphism(pt, Q, src, dst, {(j, i): dict(h.rep)})
+                sums = [product(e, g) for g in range(X3.size)]
+                if any(acc.tainted for acc in sums):
                     return None
+                img = class_matrix(nat, X3, X0, sums)
                 if not img.is_zero():
                     gens.append(img)
     seen = {}
     for g in gens:
         seen.setdefault(g.coords_key(), g)
     return [seen[k] for k in sorted(seen)]
-
-
-def _pt_entries(f):
-    cell = f.ball.basis.cells()[0]
-    out = {}
-    for i in range(f.src.size):
-        v = f.value(cell, i)
-        for (j, q), c in v.coeffs.items():
-            out.setdefault((j, i), {})[q] = c
-    return out
 
 
 def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
@@ -270,7 +252,7 @@ def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
     the deterministic one, looks for a coherent assignment.  Returns
     (HigherChainComplex, None) or (None, failure).  Q must already be valid.
     """
-    nat = _nat_system(Q, n, nat)
+    nat = nat_system(Q, n, nat)
     budget = search_budget if search_budget is not None else EnumerationBudget(2**14)
     windows = list(range(1, seq.length - n))  # F_i^n needs maps i .. i+n+1
 
@@ -301,7 +283,7 @@ def adams_d(Q, complex_, beta, n, nat=None):
     beta is built at levels 1..n reusing the window data, and the obstruction
     of the final corner sum is returned.  Q must already be valid.
     """
-    nat = _nat_system(Q, n, nat)
+    nat = nat_system(Q, n, nat)
     if complex_.order != n:
         raise UserInputError("the chain complex must be built at the same order")
     if complex_.seq.length < n + 1:

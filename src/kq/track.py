@@ -3,13 +3,18 @@
 A morphism assigns to each cell c of a ball and each source generator l an
 element of (target module tensor algebra) in bidegree (deg l, dim c),
 subject to the chain condition d(f(c,l)) = f(dc, l).  Composition goes
-through the diagonal of the base, restriction along chain maps is
-pullback of values, gluing is union of value tables, and homotopies live
-over chain-level cylinders.  Nullhomotopies, extensions, and homotopy tests
-are all instances of one linear solver over Z/p^k whose free parameters are
-reported for reproducibility and enumeration.
+through the diagonal of the base, gluing is union of value tables, and
+homotopies live over chain-level cylinders.  Every change of base is a
+pullback along a chain map: restriction along an inclusion, the constant
+lift along the counit, the ends of a homotopy along the end inclusions of
+its cylinder, the constant homotopy along the projection and the opposite
+homotopy along the end swap.  Nullhomotopies, extensions, homotopy tests
+and each stage of the Toda tower (kq.toda) are all instances of one linear
+solver over Z/p^k, solve_for_values, whose free parameters are reported for
+reproducibility and enumeration.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .chain_algebra import GradedModule, ModElem, NatElem, pair_basis
@@ -117,14 +122,8 @@ def pt_morphism(ball, Q, src, dst, entries):
 
 def lift_from_point(ball, f):
     """The base-change of a point morphism along the counit (constant lift)."""
-    values = {}
-    pt_cell = f.ball.basis.cells()[0]
-    for cell in ball.basis.cells_of_dim(0):
-        for i in range(f.src.size):
-            v = f.value(pt_cell, i)
-            if not v.is_zero():
-                values[(cell, i)] = v.copy()
-    return TrackMorphism(ball, f.src, f.dst, f.Q, values)
+    point = f.ball.basis.cells()[0]
+    return pullback(f, {c: {point: 1} for c in ball.basis.cells_of_dim(0)}, ball)
 
 
 def apply_q_linear(g, cell, elem):
@@ -167,14 +166,12 @@ def compose(g, f):
 def restrict(f, cells, boundary=(), label=""):
     """Restriction to a subcomplex of the base."""
     label = label or (f.ball.label + "|sub")
-    sub = Ball(f.ball.basis.subbasis(cells, label=label), frozenset(boundary), label)
-    values = {(c, i): v.copy() for (c, i), v in f.values.items() if c in sub.basis.dims}
-    return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.window_tainted)
+    return restrict_to_ball(f, Ball(f.ball.basis.subbasis(cells, label=label), frozenset(boundary), label))
 
 
 def restrict_to_ball(f, ball):
-    values = {(c, i): v.copy() for (c, i), v in f.values.items() if c in ball.basis.dims}
-    return TrackMorphism(ball, f.src, f.dst, f.Q, values, f.window_tainted)
+    """Pullback along the inclusion of ball's basis into f's base."""
+    return pullback(f, {c: {c: 1} for c in ball.basis.dims}, ball)
 
 
 def pullback(f, phi, new_ball):
@@ -276,62 +273,22 @@ class HomotopyWitness:
     cyl: CylinderComplex
     base_ball: Ball
 
-    def _face(self, namer):
-        values = {}
-        for c in self.base_ball.basis.cells():
-            for i in range(self.mor.src.size):
-                v = self.mor.value(namer(c), i)
-                if not v.is_zero():
-                    values[(c, i)] = v.copy()
-        return TrackMorphism(
-            self.base_ball, self.mor.src, self.mor.dst, self.mor.Q, values, self.mor.window_tainted
-        )
-
     def bottom(self):
-        return self._face(self.cyl.bottom)
+        return pullback(self.mor, self.cyl.include_bottom(), self.base_ball)
 
     def top(self):
-        return self._face(self.cyl.top)
-
-    def sleeve_value(self, cell, i):
-        name = self.cyl.sleeve(cell)
-        if name is None:
-            return ModElem.zero(self.mor.dst, self.mor.Q)
-        return self.mor.value(name, i)
+        return pullback(self.mor, self.cyl.include_top(), self.base_ball)
 
 
 def constant_homotopy(f, rel=None):
+    """The homotopy pulled back along the projection of the cylinder onto f's base."""
     jball, cyl = cylinder_ball(f.ball, rel)
-    values = {}
-    for c in f.ball.basis.cells():
-        for i in range(f.src.size):
-            v = f.value(c, i)
-            if v.is_zero():
-                continue
-            values[(cyl.bottom(c), i)] = v.copy()
-            if cyl.bottom(c) != cyl.top(c):
-                values[(cyl.top(c), i)] = v.copy()
-    mor = TrackMorphism(jball, f.src, f.dst, f.Q, values, f.window_tainted)
-    return HomotopyWitness(mor, cyl, f.ball)
+    return HomotopyWitness(pullback(f, cyl.projection(), jball), cyl, f.ball)
 
 
 def opposite(w):
-    values = {}
-    for c in w.base_ball.basis.cells():
-        for i in range(w.mor.src.size):
-            bot = w.mor.value(w.cyl.bottom(c), i)
-            top = w.mor.value(w.cyl.top(c), i)
-            if not top.is_zero():
-                values[(w.cyl.bottom(c), i)] = top.copy()
-            if w.cyl.bottom(c) != w.cyl.top(c) and not bot.is_zero():
-                values[(w.cyl.top(c), i)] = bot.copy()
-            s = w.cyl.sleeve(c)
-            if s is not None:
-                sv = w.mor.value(s, i)
-                if not sv.is_zero():
-                    values[(s, i)] = sv.scale(-1)
-    mor = TrackMorphism(w.mor.ball, w.mor.src, w.mor.dst, w.mor.Q, values, w.mor.window_tainted)
-    return HomotopyWitness(mor, w.cyl, w.base_ball)
+    """The reversed homotopy: w pulled back along the end swap of its cylinder."""
+    return HomotopyWitness(pullback(w.mor, w.cyl.reverse(), w.mor.ball), w.cyl, w.base_ball)
 
 
 def paste(w1, w2):
@@ -415,82 +372,49 @@ class SolveResult:
         return out
 
 
-def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None):
-    """Fill in values on unknown cells so the chain condition holds everywhere.
+def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None, rhs=None):
+    """Fill in values on unknown cells so that d f(c) - f(dc) = rhs(c) on every cell.
 
     prescribed: dict (cell, generator) -> ModElem on the known cells.
+    rhs: dict (cell, generator) -> ModElem, zero where absent; a window taint
+    on it or on prescribed taints the result.
     choices: dict generator -> coefficient tuple over that block's kernel.
     Solves every block, then instantiates the chosen member.
     Returns (SolveResult, None) or (None, certificate).
     """
-    unknown_cells = sorted(unknown_cells, key=lambda c: (ball.basis.dim(c), c))
-    unknown_set = set(unknown_cells)
-    known = {}
-    tainted = False
-    for (c, i), v in prescribed.items():
-        if c in unknown_set:
-            raise InternalInvariantError("prescribed value on an unknown cell")
-        known[(c, i)] = v
-        tainted = tainted or v.tainted
-
+    basis = ball.basis
+    unknown_cells = sorted(unknown_cells, key=lambda c: (basis.dim(c), c))
+    if any(c in unknown_cells for c, _ in prescribed):
+        raise InternalInvariantError("prescribed value on an unknown cell")
+    rhs = rhs or {}
+    tainted = any(v.tainted for v in [*prescribed.values(), *rhs.values()])
+    cofaces = defaultdict(list)
+    for x in basis.cells():
+        for c, w in basis.boundary_of(x).items():
+            cofaces[c].append((x, w))
     blocks = []
     for i in range(src.size):
         deg = src.degree(i)
-        slots = []
-        offset = {}
-        for c in unknown_cells:
-            pb = pair_basis(dst, Q, deg, ball.basis.dim(c))
-            offset[c] = len(slots)
-            slots.extend((c, key) for key in pb)
-        rows = []
-        rhs = []
-        for cell in ball.basis.cells():
-            s = ball.basis.dim(cell)
-            if s == 0:
-                continue
-            row_basis = pair_basis(dst, Q, deg, s - 1)
-            if not row_basis:
-                continue
-            row_index = {key: t for t, key in enumerate(row_basis)}
-            block = [[0] * len(slots) for _ in row_basis]
-            const = [0] * len(row_basis)
-            touched = False
-
-            def add_value(cell2, scale, via_d):
-                nonlocal touched
-                if cell2 in unknown_set:
-                    base = offset[cell2]
-                    pb2 = pair_basis(dst, Q, deg, ball.basis.dim(cell2))
-                    for t2, (j, q) in enumerate(pb2):
-                        if via_d:
-                            for x, v in Q.d_of(q).items():
-                                r = row_index.get((j, x))
-                                if r is not None:
-                                    block[r][base + t2] = (block[r][base + t2] + scale * v) % Q.m
-                                    touched = True
-                        else:
-                            r = row_index.get((j, q))
-                            if r is not None:
-                                block[r][base + t2] = (block[r][base + t2] + scale) % Q.m
-                                touched = True
-                else:
-                    v = known.get((cell2, i))
-                    if v is None:
-                        return
-                    use = v.d() if via_d else v
-                    for key, cv in use.coeffs.items():
-                        r = row_index.get(key)
-                        if r is not None:
-                            const[r] = (const[r] + scale * cv) % Q.m
-                            touched = True
-
-            add_value(cell, 1, True)
-            for face, coeff in ball.basis.boundary_of(cell).items():
-                add_value(face, -coeff, False)
-            if touched or cell in unknown_set:
-                rows.extend(block)
-                rhs.extend((-c2) % Q.m for c2 in const)
-        sol = solve_dense(rows, rhs, Q.m, cols=len(slots))
+        slots = [(c, key) for c in unknown_cells for key in pair_basis(dst, Q, deg, basis.dim(c))]
+        entries = defaultdict(dict)  # row (cell, key) -> {slot: coefficient}
+        for t, (c, (j, q)) in enumerate(slots):  # d(e_key) at c, minus the incidence at each coface
+            for x, v in Q.d_of(q).items():
+                entries[(c, (j, x))][t] = v
+            for x, w in cofaces[c]:
+                entries[(x, (j, q))][t] = -w
+        const = {}  # row -> rhs(c) - d known(c) + known(dc)
+        for cell in basis.cells():
+            acc = rhs.get((cell, i), ModElem.zero(dst, Q))
+            if (cell, i) in prescribed:
+                acc = acc.add(prescribed[(cell, i)].d(), scale=-1)
+            for face, w in basis.boundary_of(cell).items():
+                if (face, i) in prescribed:
+                    acc = acc.add(prescribed[(face, i)], scale=w)
+            const.update(((cell, key), v) for key, v in acc.coeffs.items())
+        touched = {*unknown_cells, *(cell for cell, _ in entries), *(cell for cell, _ in const)}
+        rows = [(c, key) for c in basis.cells() if c in touched for key in pair_basis(dst, Q, deg, basis.dim(c) - 1)]
+        A = [[entries.get(r, {}).get(t, 0) % Q.m for t in range(len(slots))] for r in rows]
+        sol = solve_dense(A, [const.get(r, 0) for r in rows], Q.m, cols=len(slots))
         if sol is None:
             cert = {
                 "generator": src.name(i),
@@ -499,7 +423,7 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None)
             }
             return None, cert
         blocks.append(SolveBlock(i, slots, sol, ()))
-    values = {k: v for k, v in known.items() if not v.is_zero()}
+    values = {k: v for k, v in prescribed.items() if not v.is_zero()}
     unsolved = SolveResult(TrackMorphism(ball, src, dst, Q, values, tainted), blocks)
     return unsolved.instantiate(choices), None
 

@@ -173,3 +173,22 @@ def budget_feasible(q, seq, cap=2**12):
         total *= choice_space_size(res)
         tower = tower.with_level(i, 1, res)
     return total <= cap
+
+
+def sequence_doc(seq):
+    """The sequence document of a MorphismSequence over the point."""
+    modules = [
+        {"name": f"X{t}", "generators": [{"name": name, "r": r} for name, r in mod.generators]}
+        for t, mod in enumerate(seq.modules)
+    ]
+    maps = []
+    for t, f in enumerate(seq.maps, 1):
+        cell = f.ball.basis.cells()[0]
+        entries = []
+        for col in range(f.src.size):
+            by_row = {}
+            for (row, name), c in sorted(f.value(cell, col).coeffs.items()):
+                by_row.setdefault(row, []).append({"gen": name, "coeff": c})
+            entries.extend({"row": row, "col": col, "value": value} for row, value in sorted(by_row.items()))
+        maps.append({"from": f"X{t}", "to": f"X{t - 1}", "entries": entries})
+    return {"modules": modules, "maps": maps}

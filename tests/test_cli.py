@@ -420,3 +420,31 @@ def test_window_cut_indeterminacy_makes_bracket_unsound(capsys, tmp_path):
     result = json.loads(out)
     assert result["status"] == "degree_window_unsound"
     assert "indeterminacy_generators" not in result
+
+
+@pytest.mark.parametrize("command", ["toda", "massey", "oracle", "chain-complex", "adams-d"])
+@pytest.mark.parametrize("n", ["2", "-1"])
+def test_order_outside_truncation_rejected(command, n, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        command,
+        "--algebra",
+        str(FIXTURES / "massey_algebra.json"),
+        "--sequence",
+        str(FIXTURES / "massey_sequence_abc.json"),
+        "--n",
+        n,
+    )
+    _assert_user_error(code, out, f"the algebra is 1-truncated but order {n} was requested")
+
+
+def test_duplicate_map_entry_rejected(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "massey_sequence_abc.json").read_text())
+    doc["maps"][0]["entries"].append({"row": 0, "col": 0, "value": [{"gen": "b", "coeff": 1}]})
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(
+        capsys, "toda", "--algebra", str(FIXTURES / "massey_algebra.json"), "--sequence", str(path)
+    )
+    u = len(doc["maps"][0]["entries"]) - 1
+    _assert_user_error(code, out, f"duplicate map entry at maps[0].entries[{u}]")

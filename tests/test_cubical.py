@@ -255,6 +255,26 @@ def test_cylinder_axioms_on_cubes(n):
     assert diagonal_is_counital(cyl.basis)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cylinder_reverse_is_a_chain_involution(n):
+    ball = cube_ball(n)
+    cyl = CylinderComplex(ball.basis, ball.boundary)
+    rev = cyl.reverse()
+    assert is_chain_map(rev, cyl.basis, cyl.basis)
+    assert set(rev) == set(cyl.basis.dims)
+    for c, chain in rev.items():
+        twice = {}
+        for x, v in chain.items():
+            for y, w in rev[x].items():
+                twice[y] = twice.get(y, 0) + v * w
+        assert twice == {c: 1}
+    for c in ball.boundary:
+        assert rev["=:" + c] == {"=:" + c: 1}
+    for c in set(ball.basis.dims) - ball.boundary:
+        assert rev["-:" + c] == {"+:" + c: 1}
+        assert rev["e:" + c] == {"e:" + c: -1}
+
+
 def test_attached_cylinder_action_map_is_chain_map():
     for n in (1, 2, 3):
         ball = cube_ball(n)

@@ -21,10 +21,16 @@ from pathlib import Path
 
 from kq.cli import main
 
+from kq.documents import algebra_to_dict
+from randalg import bracket_instances, random_valid_algebra, sequence_doc
 from test_closed_form import universal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TABLE = Path(__file__).resolve().parent / "golden_stdout.json"
+
+# (seed, instance) of random_valid_algebra and bracket_instances whose order-1
+# bracket has a nonempty indeterminacy, over Z/3, Z/2, Z/4 and Z/2
+INDETERMINACY_CASES = ((0, 0), (13, 2), (22, 2), (27, 0))
 
 # (order, modulus, free cycle) whose oracle or chain-complex search takes
 # over a second; their toda and adams-d commands stay in the table
@@ -86,6 +92,15 @@ def cases(work):
     alg = _write(work / "window-cut.json", doc)
     seq = _write(work / "window-cut-seq.json", universal.sequence_doc(1, universal.draw_units(1, 2, rng)))
     out["toda window-cut"] = ["toda", "--algebra", alg, "--sequence", seq, "--n", "1"]
+
+    # order-1 brackets whose indeterminacy_generators are nonempty
+    for seed, t in INDETERMINACY_CASES:
+        rng = random.Random(seed)
+        q = random_valid_algebra(rng)
+        stem = f"randalg-{seed}-{t}"
+        alg = _write(work / f"{stem}.json", algebra_to_dict(q))
+        seq = _write(work / f"{stem}-seq.json", sequence_doc(bracket_instances(q, rng)[t]))
+        out[f"toda {stem}"] = ["toda", "--algebra", alg, "--sequence", seq, "--n", "1"]
     return out
 
 

@@ -272,5 +272,10 @@ def test_pullback_along_projection_gives_constant(qm):
     jball, cyl = cylinder_ball(ball)
     proj = cyl.projection()
     pulled = pullback(f, proj, jball)
-    const = constant_homotopy(f)
-    assert pulled.equal(const.mor)
+    # both ends carry f and the sleeves are zero
+    assert f.values
+    table = {}
+    for (c, i), v in f.values.items():
+        table[(cyl.bottom(c), i)] = v
+        table[(cyl.top(c), i)] = v
+    assert pulled.values == table

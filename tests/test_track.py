@@ -239,7 +239,7 @@ def test_homotopic_over_point_iff_h0_classes_agree(qm):
     assert w is not None
     assert w.mor.check() == []
     # the nullhomotopy value is forced to be x
-    assert w.sleeve_value("", 0).coeffs == {(0, "x"): 1}
+    assert w.mor.value(w.cyl.sleeve(""), 0).coeffs == {(0, "x"): 1}
     # multiplication by a is not nullhomotopic
     f_a = pt_morphism(pt, qm, L1, L0, {(0, 0): {"a": 1}})
     w, cert = nullhomotopy(f_a)
