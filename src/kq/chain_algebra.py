@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
 from .exact_linalg import (
-    Presentation,
     prime_power,
     quotient_presentation,
     solve_dense,
@@ -333,12 +332,6 @@ class Homology:
         rep = tuple(sorted((basis[i], c) for i, c in enumerate(canon) if c))
         return HClass(self.k, r, coords, rep)
 
-    def all_classes(self, r):
-        pres = self.presentation(r)
-        if pres is None or pres.rank == 0:
-            return [HClass(self.k, r, (), ())]
-        return [self.class_from_coords(r, c) for c in pres.all_coords()]
-
 
 def homology(Q, k):
     if not 0 <= k <= Q.n:
@@ -596,15 +589,15 @@ class NatElem:
 class NatSystem:
     """The level-k coefficient system: matrices over H_k between free graded modules.
 
-    Composing such a matrix with maps over the point is done at the chain
-    level, with track.apply_q_linear, and read back with track.class_matrix.
+    Only the level-k homology is built.  Composing such a matrix with maps
+    over the point is done at the chain level, with track.apply_q_linear, and
+    read back with track.class_matrix.
     """
 
-    def __init__(self, Q, k, hom=None, h0=None):
+    def __init__(self, Q, k):
         self.Q = Q
         self.k = k
-        self.hom = hom if hom is not None else homology(Q, k)
-        self.h0 = h0 if h0 is not None else homology(Q, 0)
+        self.hom = homology(Q, k)
 
     def slots(self, src, dst):
         """Entry positions (j, i, r) with a nontrivial coefficient module."""
@@ -650,21 +643,3 @@ class NatSystem:
         for _, _, r in self.slots(src, dst):
             total *= self.hom.size(r)
         return total
-
-    def enumerate(self, src, dst):
-        slots = self.slots(src, dst)
-
-        def rec(idx):
-            if idx == len(slots):
-                yield {}
-                return
-            j, i, r = slots[idx]
-            for rest in rec(idx + 1):
-                for h in self.hom.all_classes(r):
-                    cur = dict(rest)
-                    if not h.is_zero():
-                        cur[(j, i)] = dict(h.rep)
-                    yield cur
-
-        for cyc in rec(0):
-            yield self.from_cycles(src, dst, cyc)

@@ -16,9 +16,9 @@ The standard balls (cube_ball, corner_ball) are built once per dimension and
 shared: a ball and its chain basis are immutable values, and nothing may
 change their cells, boundary rows or boundary set after construction.
 
-Chain-level cylinders (with a chosen collapsed subcomplex), cylinders
-attached along a face, and pastings are built here as generic based chain
-complexes so that homotopies and actions reduce to plain linear algebra.
+Chain-level cylinders (with a chosen collapsed subcomplex) and cylinders
+attached along a face are built here as generic based chain complexes, so
+that homotopies and actions reduce to plain linear algebra.
 """
 
 from dataclasses import dataclass
@@ -240,15 +240,6 @@ class ChainBasis:
         bnd = {c: self.boundary_of(c) for c in cells}
         return ChainBasis(dims, bnd, self.diagonal, label or self.label)
 
-    # chain utilities (chains are dicts cell -> integer coefficient)
-
-    def apply_boundary(self, chain):
-        out = {}
-        for c, v in chain.items():
-            for x, w in self.boundary_of(c).items():
-                out[x] = out.get(x, 0) + v * w
-        return {x: v for x, v in out.items() if v}
-
 
 def complex_basis(complex_, label=""):
     dims = {w: cell_dim(w) for w in complex_.cells}
@@ -412,22 +403,6 @@ class CylinderComplex:
     def sleeve(self, c):
         return None if c in self.collapse else "e:" + c
 
-    def include_bottom(self):
-        return {c: {self.bottom(c): 1} for c in self.base.cells()}
-
-    def include_top(self):
-        return {c: {self.top(c): 1} for c in self.base.cells()}
-
-    def reverse(self):
-        """The chain map that swaps the two ends and negates the sleeves."""
-        out = {}
-        for c in self.base.cells():
-            out[self.bottom(c)] = {self.top(c): 1}
-            out[self.top(c)] = {self.bottom(c): 1}
-            if c not in self.collapse:
-                out["e:" + c] = {"e:" + c: -1}
-        return out
-
     def projection(self):
         out = {}
         for c in self.base.cells():
@@ -503,19 +478,3 @@ class AttachedCylinder:
                         row["e:" + x] = row.get("e:" + x, 0) - v
                 phi[c] = row
         return phi
-
-
-def is_chain_map(phi, src, dst, m=None):
-    """Check that phi commutes with boundaries, integrally or mod m."""
-    for c in src.cells():
-        lhs = dst.apply_boundary(phi.get(c, {}))
-        rhs = {}
-        for x, v in src.boundary_of(c).items():
-            for y, w in phi.get(x, {}).items():
-                rhs[y] = rhs.get(y, 0) + v * w
-        keys = set(lhs) | set(rhs)
-        for y in keys:
-            diff = lhs.get(y, 0) - rhs.get(y, 0)
-            if diff if m is None else diff % m:
-                return False
-    return True

@@ -14,6 +14,8 @@ from .track import pt_morphism
 
 
 def _need(doc, key, where, types):
+    if not isinstance(doc, dict):
+        raise UserInputError(f"expected an object at {where}")
     if key not in doc:
         raise UserInputError(f"missing field {key!r} at {where}")
     val = doc[key]
@@ -33,6 +35,10 @@ def _coeff_list(val, where):
     return out
 
 
+def _optional_list(doc, key):
+    return _need(doc, key, "document", list) if key in doc else []
+
+
 def parse_algebra(doc):
     """(algebra, axiom violations); schema problems raise with a path."""
     m = _need(doc, "modulus", "document", int)
@@ -47,13 +53,13 @@ def parse_algebra(doc):
         s = _need(item, "s", f"basis[{t}]", int)
         elements.append((name, r, s))
     diff = {}
-    for t, item in enumerate(doc.get("differential", [])):
+    for t, item in enumerate(_optional_list(doc, "differential")):
         src = _need(item, "from", f"differential[{t}]", str)
         if src in diff:
             raise UserInputError(f"duplicate differential entry at differential[{t}]")
         diff[src] = _coeff_list(_need(item, "to", f"differential[{t}]", list), f"differential[{t}].to")
     mul = {}
-    for t, item in enumerate(doc.get("products", [])):
+    for t, item in enumerate(_optional_list(doc, "products")):
         left = _need(item, "left", f"products[{t}]", str)
         right = _need(item, "right", f"products[{t}]", str)
         if (left, right) in mul:

@@ -189,10 +189,6 @@ def howell_reduce(vec, basis, m):
     return tuple(v)
 
 
-def in_span(vec, basis, m):
-    return not any(howell_reduce(vec, basis, m))
-
-
 # ---------------------------------------------------------------------------
 # affine systems
 
@@ -307,18 +303,6 @@ class Presentation:
             for t in range(self.ambient_rank):
                 out[t] = (out[t] + c * rep[t]) % self.m
         return tuple(out)
-
-    def all_coords(self):
-        """Deterministic enumeration of all coordinate tuples."""
-        p, _ = prime_power(self.m)
-        def rec(i):
-            if i == len(self.order_exps):
-                yield ()
-                return
-            for rest in rec(i + 1):
-                for c in range(p ** self.order_exps[i]):
-                    yield (c,) + rest
-        return rec(0)
 
 
 def quotient_presentation(ambient_rank, relation_vectors, m):

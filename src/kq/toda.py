@@ -136,8 +136,9 @@ def _stages(tower, length, n):
 def _walk(tower, stages, options, budget=None):
     """Every leaf of the choice tree below tower, depth first.
 
-    Each stage is solved once; options(stage, result) lists the choices
-    tried there, each turned into a child by SolveResult.instantiate.
+    Each stage is solved once and each choice tried there is built once:
+    options(stage, result) lists the choices, and SolveResult.instantiate
+    turns each into a child.
     Yields (tower, None) for a completed tower and (tower, failure) for a
     stage without solution.  budget, if given, is charged once per state.
     """

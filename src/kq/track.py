@@ -5,13 +5,12 @@ element of (target module tensor algebra) in bidegree (deg l, dim c),
 subject to the chain condition d(f(c,l)) = f(dc, l).  Composition goes
 through the diagonal of the base, gluing is union of value tables, and
 homotopies live over chain-level cylinders.  Every change of base is a
-pullback along a chain map: restriction along an inclusion, the constant
-lift along the counit, the ends of a homotopy along the end inclusions of
-its cylinder, the constant homotopy along the projection and the opposite
-homotopy along the end swap.  Nullhomotopies, extensions, homotopy tests
-and each stage of the Toda tower (kq.toda) are all instances of one linear
-solver over Z/p^k, solve_for_values, whose free parameters are reported for
-reproducibility and enumeration.
+pullback along a chain map: restriction along an inclusion, and the
+constant homotopy along the projection of its cylinder.  Extensions,
+homotopy tests and each stage of the Toda tower (kq.toda) are all instances
+of one linear solver over Z/p^k, solve_for_values.  It returns the solution
+set, whose free parameters are reported for reproducibility and
+enumeration; SolveResult.instantiate builds one member from it.
 """
 
 from collections import defaultdict
@@ -120,12 +119,6 @@ def pt_morphism(ball, Q, src, dst, entries):
     return TrackMorphism(ball, src, dst, Q, values)
 
 
-def lift_from_point(ball, f):
-    """The base-change of a point morphism along the counit (constant lift)."""
-    point = f.ball.basis.cells()[0]
-    return pullback(f, {c: {point: 1} for c in ball.basis.cells_of_dim(0)}, ball)
-
-
 def apply_q_linear(g, cell, elem):
     """g(cell x -) applied Q-linearly to an element of g's source module."""
     out = ModElem.zero(g.dst, g.Q)
@@ -163,10 +156,10 @@ def compose(g, f):
     return TrackMorphism(f.ball, f.src, g.dst, g.Q, values, flag).clean()
 
 
-def restrict(f, cells, boundary=(), label=""):
+def restrict(f, cells):
     """Restriction to a subcomplex of the base."""
-    label = label or (f.ball.label + "|sub")
-    return restrict_to_ball(f, Ball(f.ball.basis.subbasis(cells, label=label), frozenset(boundary), label))
+    label = f.ball.label + "|sub"
+    return restrict_to_ball(f, Ball(f.ball.basis.subbasis(cells, label=label), frozenset(), label))
 
 
 def restrict_to_ball(f, ball):
@@ -273,47 +266,11 @@ class HomotopyWitness:
     cyl: CylinderComplex
     base_ball: Ball
 
-    def bottom(self):
-        return pullback(self.mor, self.cyl.include_bottom(), self.base_ball)
 
-    def top(self):
-        return pullback(self.mor, self.cyl.include_top(), self.base_ball)
-
-
-def constant_homotopy(f, rel=None):
+def constant_homotopy(f):
     """The homotopy pulled back along the projection of the cylinder onto f's base."""
-    jball, cyl = cylinder_ball(f.ball, rel)
+    jball, cyl = cylinder_ball(f.ball)
     return HomotopyWitness(pullback(f, cyl.projection(), jball), cyl, f.ball)
-
-
-def opposite(w):
-    """The reversed homotopy: w pulled back along the end swap of its cylinder."""
-    return HomotopyWitness(pullback(w.mor, w.cyl.reverse(), w.mor.ball), w.cyl, w.base_ball)
-
-
-def paste(w1, w2):
-    """w1: f ~ g then w2: g ~ h, pulled back along the subdivision map."""
-    if w1.cyl.collapse != w2.cyl.collapse:
-        raise UserInputError("pasting needs homotopies relative to the same subcomplex")
-    if not w1.top().equal(w2.bottom()):
-        raise UserInputError("pasting needs matching middle faces")
-    values = {}
-    for c in w1.base_ball.basis.cells():
-        for i in range(w1.mor.src.size):
-            bot = w1.mor.value(w1.cyl.bottom(c), i)
-            top = w2.mor.value(w2.cyl.top(c), i)
-            if not bot.is_zero():
-                values[(w1.cyl.bottom(c), i)] = bot.copy()
-            if w1.cyl.bottom(c) != w1.cyl.top(c) and not top.is_zero():
-                values[(w1.cyl.top(c), i)] = top.copy()
-            s = w1.cyl.sleeve(c)
-            if s is not None:
-                sv = w1.mor.value(s, i).add(w2.mor.value(s, i))
-                if not sv.is_zero():
-                    values[(s, i)] = sv
-    flag = w1.mor.window_tainted or w2.mor.window_tainted
-    mor = TrackMorphism(w1.mor.ball, w1.mor.src, w1.mor.dst, w1.mor.Q, values, flag)
-    return HomotopyWitness(mor, w1.cyl, w1.base_ball)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +287,15 @@ class SolveBlock:
 
 @dataclass
 class SolveResult:
-    morphism: TrackMorphism
+    morphism: TrackMorphism  # the prescribed values, or a member once instantiated
     blocks: list = field(default_factory=list)
 
     def instantiate(self, choices=None):
         """The member picked by choices, built from the already solved blocks.
 
         choices: dict generator -> coefficient tuple over that block's kernel;
-        a generator left out takes the particular solution.
+        a generator left out takes the particular solution.  Values of
+        self.morphism on solved cells are replaced.
         """
         f = self.morphism
         solved = {(c, b.generator) for b in self.blocks for c, _ in b.slots}
@@ -372,15 +330,15 @@ class SolveResult:
         return out
 
 
-def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None, rhs=None):
-    """Fill in values on unknown cells so that d f(c) - f(dc) = rhs(c) on every cell.
+def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None):
+    """The values on unknown cells with d f(c) - f(dc) = rhs(c) on every cell.
 
     prescribed: dict (cell, generator) -> ModElem on the known cells.
     rhs: dict (cell, generator) -> ModElem, zero where absent; a window taint
     on it or on prescribed taints the result.
-    choices: dict generator -> coefficient tuple over that block's kernel.
-    Solves every block, then instantiates the chosen member.
-    Returns (SolveResult, None) or (None, certificate).
+    Returns (SolveResult, None) or (None, certificate).  The SolveResult is
+    the solution set: the prescribed values and one solved block per
+    generator.  No member is built; SolveResult.instantiate builds one.
     """
     basis = ball.basis
     unknown_cells = sorted(unknown_cells, key=lambda c: (basis.dim(c), c))
@@ -424,8 +382,7 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, choices=None,
             return None, cert
         blocks.append(SolveBlock(i, slots, sol, ()))
     values = {k: v for k, v in prescribed.items() if not v.is_zero()}
-    unsolved = SolveResult(TrackMorphism(ball, src, dst, Q, values, tainted), blocks)
-    return unsolved.instantiate(choices), None
+    return SolveResult(TrackMorphism(ball, src, dst, Q, values, tainted), blocks), None
 
 
 def extend(ball, partial, zero_cells):
@@ -433,7 +390,8 @@ def extend(ball, partial, zero_cells):
 
     partial is a morphism over a subcomplex of ball; zero_cells carry the
     prescribed zero, and a window cutoff recorded on partial taints the
-    result.  Returns (SolveResult, None) or (None, certificate).
+    result.  Returns (SolveResult, None) with the particular member built,
+    or (None, certificate).
     """
     prescribed = {}
     for c in partial.ball.basis.cells():
@@ -450,14 +408,15 @@ def extend(ball, partial, zero_cells):
                     }
             prescribed[(c, i)] = ModElem.zero(partial.dst, partial.Q)
     unknown = [c for c in ball.basis.cells() if c not in partial.ball.basis.dims and c not in set(zero_cells)]
-    return solve_for_values(ball, partial.Q, partial.src, partial.dst, prescribed, unknown)
+    res, cert = solve_for_values(ball, partial.Q, partial.src, partial.dst, prescribed, unknown)
+    return (None, cert) if res is None else (res.instantiate(), None)
 
 
-def homotopic(f, g, rel=None, choices=None):
+def homotopic(f, g, rel=None):
     """A homotopy witness f ~ g relative to rel (default: the ball boundary).
 
-    Returns (HomotopyWitness, SolveResult) or (None, certificate).  The
-    morphisms must agree on the rel subcomplex.
+    Returns (HomotopyWitness, SolveResult) with the particular member built,
+    or (None, certificate).  The morphisms must agree on the rel subcomplex.
     """
     if f.src != g.src or f.dst != g.dst:
         raise UserInputError("homotopy needs matching modules")
@@ -474,14 +433,11 @@ def homotopic(f, g, rel=None, choices=None):
             if cyl.top(c) != cyl.bottom(c):
                 prescribed[(cyl.top(c), i)] = g.value(c, i)
     unknown = [c for c in jball.basis.cells() if c.startswith("e:")]
-    res, cert = solve_for_values(jball, f.Q, f.src, f.dst, prescribed, unknown, choices)
+    res, cert = solve_for_values(jball, f.Q, f.src, f.dst, prescribed, unknown)
     if res is None:
         return None, cert
+    res = res.instantiate()
     return HomotopyWitness(res.morphism, cyl, f.ball), res
-
-
-def nullhomotopy(f, choices=None):
-    return homotopic(f, zero_morphism(f.ball, f.src, f.dst, f.Q), choices=choices)
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +580,3 @@ def class_matrix(nat, src, dst, sums):
             r = src.degree(i) - dst.degree(j)
             entries[(j, i)] = nat.hom.class_of(vec, r)
     return NatElem.build(nat.k, src, dst, entries)
-
-
-def h0_matrix(f, h0):
-    """Homology classes of a point morphism's entries."""
-    cell = f.ball.basis.cells()[0]
-    out = {}
-    for i in range(f.src.size):
-        v = f.value(cell, i)
-        for j in range(f.dst.size):
-            vec = {q: c for (jj, q), c in v.coeffs.items() if jj == j}
-            r = f.src.degree(i) - f.dst.degree(j)
-            if 0 <= r <= f.Q.r_max:
-                out[(j, i)] = h0.class_of(vec, r)
-    return out

@@ -15,7 +15,7 @@ from kq.chain_algebra import ChainAlgebra, GradedModule, homology
 from kq.cubical import point_ball
 from kq.oracle_support import choice_space_size
 from kq.toda import MorphismSequence
-from kq.track import pt_morphism, compose, nullhomotopy
+from kq.track import compose, homotopic, pt_morphism, zero_morphism
 
 
 def _random_candidate(rng):
@@ -149,7 +149,8 @@ def bracket_instances(q, rng, want=3, max_checks=400, budget_cap=2**12):
         f3 = pt_morphism(pt, q, L3, L2, {(0, 0): {w: 1}})
         ok = True
         for a, b in ((f1, f2), (f2, f3)):
-            wit, _ = nullhomotopy(compose(a, b))
+            ab = compose(a, b)
+            wit, _ = homotopic(ab, zero_morphism(ab.ball, ab.src, ab.dst, ab.Q))
             if wit is None:
                 ok = False
                 break

@@ -14,6 +14,7 @@ from kq.errors import UserInputError
 from kq.track import apply_q_linear, class_matrix, compose, pt_morphism
 
 from conftest import make_massey_algebra
+from track_helpers import enumerate_nat
 
 
 def _after(nat, g, f):
@@ -205,7 +206,7 @@ def test_nat_bilinearity_small(z4_algebra):
     nat = NatSystem(z4_algebra, 1)
     L0 = GradedModule.of([("w", 0)])
     L2 = GradedModule.of([("z", 2)])
-    elems = list(nat.enumerate(L2, L0))
+    elems = list(enumerate_nat(nat, L2, L0))
     assert len(elems) == nat.size(L2, L0) == 2
     a, b = elems
     s = nat.add(a, b)

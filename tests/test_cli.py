@@ -448,3 +448,59 @@ def test_duplicate_map_entry_rejected(capsys, tmp_path):
     )
     u = len(doc["maps"][0]["entries"]) - 1
     _assert_user_error(code, out, f"duplicate map entry at maps[0].entries[{u}]")
+
+
+def _replace(doc, path, value):
+    """doc with the value at path (keys and indices) replaced; the empty path replaces doc."""
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "which, path, value, mentions",
+    [
+        ("algebra", (), "modulus", "expected an object at document"),
+        ("algebra", ("basis",), [5], "expected an object at basis[0]"),
+        ("algebra", ("differential",), [3], "expected an object at differential[0]"),
+        ("algebra", ("differential",), 5, "field 'differential' at document has the wrong type"),
+        ("algebra", ("products",), None, "field 'products' at document has the wrong type"),
+        ("algebra", ("products", 0, "to"), [7], "expected an object at products[0].to[0]"),
+        ("sequence", ("modules",), [3], "expected an object at modules[0]"),
+        ("sequence", ("maps", 0, "entries"), [0], "expected an object at maps[0].entries[0]"),
+    ],
+    ids=["document", "basis", "differential-item", "differential", "products", "product-target", "modules", "entries"],
+)
+def test_malformed_document_is_user_error(which, path, value, mentions, capsys, tmp_path):
+    paths = {
+        "algebra": FIXTURES / "massey_algebra.json",
+        "sequence": FIXTURES / "massey_sequence_abc.json",
+    }
+    bad = tmp_path / f"{which}.json"
+    bad.write_text(json.dumps(_replace(json.loads(paths[which].read_text()), path, value)))
+    paths[which] = bad
+    argv = ["validate", "--algebra", str(paths["algebra"])]
+    if which == "sequence":
+        argv = ["toda", "--algebra", str(paths["algebra"]), "--sequence", str(paths["sequence"])]
+    code, out, _ = run_cli(capsys, *argv)
+    _assert_user_error(code, out, mentions)
+
+
+def test_engine_budget_env_not_an_integer_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("ENGINE_BUDGET", "abc")
+    code, out, _ = run_cli(capsys, *_oracle_args())
+    _assert_user_error(code, out, "ENGINE_BUDGET is not an integer: 'abc'")
+
+
+def test_budget_flag_wins_over_engine_budget(monkeypatch, capsys):
+    code, expected, _ = run_cli(capsys, *_oracle_args())
+    assert code == 0
+    monkeypatch.setenv("ENGINE_BUDGET", "1")
+    code, out, _ = run_cli(capsys, *_oracle_args(), "--budget", "1000")
+    assert code == 0
+    assert out == expected
+    assert json.loads(out)["set_size"] == 1

@@ -12,7 +12,6 @@ from kq.exact_linalg import (
     _smith_rows,
     howell_form,
     howell_reduce,
-    in_span,
     prime_power,
     quotient_presentation,
     solve_dense,
@@ -29,6 +28,10 @@ def brute_solutions(A, b, m, cols=None):
         if all(sum(A[i][j] * x[j] for j in range(cols)) % m == b[i] % m for i in range(rows)):
             out.append(x)
     return set(out)
+
+
+def in_span(vec, basis, m):
+    return not any(howell_reduce(vec, basis, m))
 
 
 def affine_members(sol, m):

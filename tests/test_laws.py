@@ -10,7 +10,6 @@ from kq.cubical import (
     cube_ball,
     facet_ball,
     facet_complex,
-    is_chain_map,
     point_ball,
 )
 from kq.track import (
@@ -22,8 +21,6 @@ from kq.track import (
     glue,
     homotopic,
     obstruction,
-    opposite,
-    paste,
     pullback,
     restrict,
     restrict_to_ball,
@@ -32,7 +29,15 @@ from kq.track import (
 )
 
 from conftest import make_massey_algebra
-from track_helpers import random_morphism, solve_chain_map
+from track_helpers import (
+    enumerate_nat,
+    is_chain_map,
+    lift_from_point,
+    opposite,
+    paste,
+    random_morphism,
+    solve_chain_map,
+)
 
 
 @pytest.fixture
@@ -92,7 +97,7 @@ def test_abelian_union_property(qm):
     for trial in range(5):
         F = random_morphism(tball, L, M, qm, rng, boundary_zero=True)
         ob = obstruction(F, nat)
-        for alpha in nat.enumerate(L, M):
+        for alpha in enumerate_nat(nat, L, M):
             expected = nat.add(ob, alpha)
             for pos in (0, 1):
                 piece_ball = facet_ball(2, pos, 0)
@@ -180,8 +185,6 @@ def test_horizontal_composition_law(qm):
     L1 = GradedModule.of([("r", 1)])
     L0 = GradedModule.of([("s", 0)])
     ball = cube_ball(1)
-    from kq.track import lift_from_point
-
     for _ in range(5):
         H = random_morphism(ball, L1, L0, qm, rng)  # H: f ~ f'
         Hp = random_morphism(ball, L2, L1, qm, rng)  # H': g ~ g'

@@ -24,14 +24,9 @@ from kq.track import (
     extend,
     face_ball_of,
     glue,
-    h0_matrix,
     homotopic,
     identity_morphism,
     inject_cubical,
-    lift_from_point,
-    nullhomotopy,
-    opposite,
-    paste,
     pt_morphism,
     pullback,
     restrict,
@@ -46,10 +41,17 @@ from kq.track import (
 
 from conftest import make_massey_algebra, make_z4_algebra
 from track_helpers import (
+    bottom,
+    enumerate_nat,
     enumerate_self_homotopies,
+    h0_matrix,
+    lift_from_point,
     obstruction_via_action,
+    opposite,
+    paste,
     random_morphism,
     self_homotopy_space,
+    top,
 )
 
 
@@ -217,14 +219,14 @@ def test_constant_homotopy_and_opposite(qm):
     f = random_morphism(ball, L, M, qm, rng)
     w = constant_homotopy(f)
     assert w.mor.check() == []
-    assert w.bottom().equal(f)
-    assert w.top().equal(f)
+    assert bottom(w).equal(f)
+    assert top(w).equal(f)
     assert opposite(w).mor.check() == []
     # pasting with the constant homotopy keeps faces
     p = paste(w, w)
     assert p.mor.check() == []
-    assert p.bottom().equal(f)
-    assert p.top().equal(f)
+    assert bottom(p).equal(f)
+    assert top(p).equal(f)
 
 
 def test_homotopic_over_point_iff_h0_classes_agree(qm):
@@ -235,14 +237,14 @@ def test_homotopic_over_point_iff_h0_classes_agree(qm):
     pt = point_ball()
     # multiplication by ab is nullhomotopic: ab = dx
     f_ab = pt_morphism(pt, qm, L2, L0, {(0, 0): {"ab": 1}})
-    w, info = nullhomotopy(f_ab)
+    w, info = homotopic(f_ab, zero_morphism(pt, L2, L0, qm))
     assert w is not None
     assert w.mor.check() == []
     # the nullhomotopy value is forced to be x
     assert w.mor.value(w.cyl.sleeve(""), 0).coeffs == {(0, "x"): 1}
     # multiplication by a is not nullhomotopic
     f_a = pt_morphism(pt, qm, L1, L0, {(0, 0): {"a": 1}})
-    w, cert = nullhomotopy(f_a)
+    w, cert = homotopic(f_a, zero_morphism(pt, L1, L0, qm))
     assert w is None
     # h0 matrices decide homotopy over the point
     rng = random.Random(41)
@@ -304,7 +306,7 @@ def test_sigma_and_action_normalization(qm):
     L0 = GradedModule.of([("w", 0)])
     ball = cube_ball(1)
     zero = zero_morphism(ball, L3, L0, qm)
-    for alpha in nat.enumerate(L3, L0):
+    for alpha in enumerate_nat(nat, L3, L0):
         for pos, digit in ((0, 0), (0, 1)):
             face = facet_ball(1, pos, digit)
             acted = act_nat(zero, alpha, face, nat)
@@ -348,7 +350,7 @@ def test_action_transitive_effective_count(qm):
     zero = zero_morphism(ball, L, M, qm)
     face = facet_ball(1, 0, 0)
     hit = set()
-    for alpha in nat.enumerate(L, M):
+    for alpha in enumerate_nat(nat, L, M):
         acted = act_nat(zero, alpha, face, nat)
         hit.add(obstruction(acted, nat).coords_key())
     assert len(hit) == n_fillers
@@ -414,10 +416,11 @@ def test_solver_output_always_satisfies_chain_condition(qm):
             res, cert = solve_for_values(ball, qm, L, M, prescribed, unknown)
             # the boundary of a full morphism always fills in
             assert res is not None
-            assert res.morphism.check() == []
+            mor = res.instantiate().morphism
+            assert mor.check() == []
             for c in ball.boundary:
                 for i in range(L.size):
-                    assert res.morphism.value(c, i) == full.value(c, i)
+                    assert mor.value(c, i) == full.value(c, i)
 
 
 def test_self_homotopy_count_matches_coefficient_group(qm, two_level_algebra):
@@ -480,11 +483,11 @@ def test_instantiate_matches_solving_with_choices():
         assert res is not None
         assert choice_space_size(res) > 1
         for choices in enumerate_block_choices(res):
-            direct, _ = solve_for_values(*args, choices)
             replay = res.instantiate(choices)
-            assert direct.morphism.values == replay.morphism.values
-            assert direct.choice_log("s") == replay.choice_log("s")
+            assert [e["chosen"] for e in replay.choice_log("s")] == [list(choices[b.generator]) for b in res.blocks]
             assert replay.morphism.check() == []
+            # instantiating a member again replaces its solved values
+            assert res.instantiate().instantiate(choices).morphism.values == replay.morphism.values
 
 
 def test_choice_vector_of_wrong_length_rejected():
@@ -492,8 +495,6 @@ def test_choice_vector_of_wrong_length_rejected():
     res, _ = solve_for_values(*args)
     width = len(res.blocks[0].solutions.kernel_basis)
     bad = {0: (1,) * (width + 1)}
-    with pytest.raises(UserInputError):
-        solve_for_values(*args, bad)
     with pytest.raises(UserInputError):
         res.instantiate(bad)
 

@@ -1,15 +1,18 @@
 """Test-only helpers over the track calculus.
 
 Random morphisms and solver choices, the self-homotopy space of a morphism,
-a chain-map solver between based complexes, and the obstruction found by
-exhaustive search over the natural-system group.  They check the library
-against independent constructions and are not part of it.
+the ends, reversal and pasting of homotopies, the constant lift of a point
+morphism and its H_0 classes, a chain-map check and a chain-map solver
+between based complexes, every element of a natural system, and the
+obstruction found by exhaustive search over the natural-system group.  They
+check the library against independent constructions and are not part of it.
 """
 
 from kq import track
-from kq.chain_algebra import ModElem
+from kq.chain_algebra import HClass, ModElem
 from kq.cubical import cylinder_ball
-from kq.exact_linalg import solve_dense
+from kq.errors import UserInputError
+from kq.exact_linalg import prime_power, solve_dense
 from kq.oracle_support import EnumerationBudget, _effective_ranges, enumerate_block_choices
 
 
@@ -34,9 +37,7 @@ def random_morphism(ball, src, dst, Q, rng, boundary_zero=False):
     res, cert = track.solve_for_values(ball, Q, src, dst, prescribed, unknown)
     if res is None:
         raise AssertionError(f"free morphism space must be solvable: {cert}")
-    choices = random_choices(res, rng)
-    res, _ = track.solve_for_values(ball, Q, src, dst, prescribed, unknown, choices)
-    return res.morphism
+    return res.instantiate(random_choices(res, rng)).morphism
 
 
 def self_homotopy_space(f):
@@ -56,19 +57,121 @@ def self_homotopy_space(f):
 
 
 def enumerate_self_homotopies(f, budget=None):
-    res, jball, cyl = self_homotopy_space(f)
-    prescribed_unknown = [c for c in jball.basis.cells() if c.startswith("e:")]
+    res, _, cyl = self_homotopy_space(f)
     for choices in enumerate_block_choices(res, budget):
-        out, _ = track.solve_for_values(
-            jball,
-            f.Q,
-            f.src,
-            f.dst,
-            {k: v for k, v in res.morphism.values.items() if not k[0].startswith("e:")},
-            prescribed_unknown,
-            choices,
-        )
-        yield track.HomotopyWitness(out.morphism, cyl, f.ball)
+        yield track.HomotopyWitness(res.instantiate(choices).morphism, cyl, f.ball)
+
+
+# ---------------------------------------------------------------------------
+# ends, reversal and pasting of homotopies; the constant lift
+
+
+def include_bottom(cyl):
+    return {c: {cyl.bottom(c): 1} for c in cyl.base.cells()}
+
+
+def include_top(cyl):
+    return {c: {cyl.top(c): 1} for c in cyl.base.cells()}
+
+
+def reverse(cyl):
+    """The chain map that swaps the two ends of a cylinder and negates the sleeves."""
+    out = {}
+    for c in cyl.base.cells():
+        out[cyl.bottom(c)] = {cyl.top(c): 1}
+        out[cyl.top(c)] = {cyl.bottom(c): 1}
+        if c not in cyl.collapse:
+            out["e:" + c] = {"e:" + c: -1}
+    return out
+
+
+def bottom(w):
+    """The source end of a homotopy, pulled back along the bottom inclusion."""
+    return track.pullback(w.mor, include_bottom(w.cyl), w.base_ball)
+
+
+def top(w):
+    """The target end of a homotopy, pulled back along the top inclusion."""
+    return track.pullback(w.mor, include_top(w.cyl), w.base_ball)
+
+
+def opposite(w):
+    """The reversed homotopy: w pulled back along the end swap of its cylinder."""
+    return track.HomotopyWitness(track.pullback(w.mor, reverse(w.cyl), w.mor.ball), w.cyl, w.base_ball)
+
+
+def paste(w1, w2):
+    """w1: f ~ g then w2: g ~ h, pulled back along the subdivision map."""
+    if w1.cyl.collapse != w2.cyl.collapse:
+        raise UserInputError("pasting needs homotopies relative to the same subcomplex")
+    if not top(w1).equal(bottom(w2)):
+        raise UserInputError("pasting needs matching middle faces")
+    values = {}
+    for c in w1.base_ball.basis.cells():
+        for i in range(w1.mor.src.size):
+            bot = w1.mor.value(w1.cyl.bottom(c), i)
+            tp = w2.mor.value(w2.cyl.top(c), i)
+            if not bot.is_zero():
+                values[(w1.cyl.bottom(c), i)] = bot.copy()
+            if w1.cyl.bottom(c) != w1.cyl.top(c) and not tp.is_zero():
+                values[(w1.cyl.top(c), i)] = tp.copy()
+            s = w1.cyl.sleeve(c)
+            if s is not None:
+                sv = w1.mor.value(s, i).add(w2.mor.value(s, i))
+                if not sv.is_zero():
+                    values[(s, i)] = sv
+    flag = w1.mor.window_tainted or w2.mor.window_tainted
+    mor = track.TrackMorphism(w1.mor.ball, w1.mor.src, w1.mor.dst, w1.mor.Q, values, flag)
+    return track.HomotopyWitness(mor, w1.cyl, w1.base_ball)
+
+
+def lift_from_point(ball, f):
+    """The base-change of a point morphism along the counit (constant lift)."""
+    point = f.ball.basis.cells()[0]
+    return track.pullback(f, {c: {point: 1} for c in ball.basis.cells_of_dim(0)}, ball)
+
+
+def h0_matrix(f, h0):
+    """Homology classes of a point morphism's entries."""
+    cell = f.ball.basis.cells()[0]
+    out = {}
+    for i in range(f.src.size):
+        v = f.value(cell, i)
+        for j in range(f.dst.size):
+            vec = {q: c for (jj, q), c in v.coeffs.items() if jj == j}
+            r = f.src.degree(i) - f.dst.degree(j)
+            if 0 <= r <= f.Q.r_max:
+                out[(j, i)] = h0.class_of(vec, r)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# chain maps between based complexes
+
+
+def apply_boundary(basis, chain):
+    """The boundary of a chain (dict cell -> integer coefficient)."""
+    out = {}
+    for c, v in chain.items():
+        for x, w in basis.boundary_of(c).items():
+            out[x] = out.get(x, 0) + v * w
+    return {x: v for x, v in out.items() if v}
+
+
+def is_chain_map(phi, src, dst, m=None):
+    """Check that phi commutes with boundaries, integrally or mod m."""
+    for c in src.cells():
+        lhs = apply_boundary(dst, phi.get(c, {}))
+        rhs = {}
+        for x, v in src.boundary_of(c).items():
+            for y, w in phi.get(x, {}).items():
+                rhs[y] = rhs.get(y, 0) + v * w
+        keys = set(lhs) | set(rhs)
+        for y in keys:
+            diff = lhs.get(y, 0) - rhs.get(y, 0)
+            if diff if m is None else diff % m:
+                return False
+    return True
 
 
 def solve_chain_map(src, dst, prescribed, m):
@@ -94,7 +197,7 @@ def solve_chain_map(src, dst, prescribed, m):
         block = [[0] * len(slots) for _ in row_cells]
         const = [0] * len(row_cells)
         if c in prescribed:
-            for x, v in dst.apply_boundary(prescribed[c]).items():
+            for x, v in apply_boundary(dst, prescribed[c]).items():
                 const[idx[x]] = (const[idx[x]] + v) % m
         else:
             base = offset[c]
@@ -125,6 +228,42 @@ def solve_chain_map(src, dst, prescribed, m):
     return out
 
 
+# ---------------------------------------------------------------------------
+# natural systems
+
+
+def all_classes(hom, r):
+    """Every class of H_k in upper degree r, in a fixed order."""
+    pres = hom.presentation(r)
+    if pres is None or pres.rank == 0:
+        return [HClass(hom.k, r, (), ())]
+    p, _ = prime_power(pres.m)
+    coords = [()]
+    for e in reversed(pres.order_exps):  # the first coordinate varies fastest
+        coords = [(c,) + rest for rest in coords for c in range(p**e)]
+    return [hom.class_from_coords(r, c) for c in coords]
+
+
+def enumerate_nat(nat, src, dst):
+    """Every element of the natural system from src to dst, in a fixed order."""
+    slots = nat.slots(src, dst)
+
+    def rec(idx):
+        if idx == len(slots):
+            yield {}
+            return
+        j, i, r = slots[idx]
+        for rest in rec(idx + 1):
+            for h in all_classes(nat.hom, r):
+                cur = dict(rest)
+                if not h.is_zero():
+                    cur[(j, i)] = dict(h.rep)
+                yield cur
+
+    for cyc in rec(0):
+        yield nat.from_cycles(src, dst, cyc)
+
+
 def obstruction_via_action(F, nat, face_ball, orientation=1, budget=None):
     """Find the class alpha with (0 acted by alpha) homotopic to F, by search.
 
@@ -134,7 +273,7 @@ def obstruction_via_action(F, nat, face_ball, orientation=1, budget=None):
     budget = budget or EnumerationBudget()
     zero = track.zero_morphism(F.ball, F.src, F.dst, F.Q)
     found = []
-    for alpha in nat.enumerate(F.src, F.dst):
+    for alpha in enumerate_nat(nat, F.src, F.dst):
         budget.charge()
         cand = track.act_nat(zero, alpha, face_ball, nat, orientation)
         w, _ = track.homotopic(cand, F)
