@@ -25,13 +25,11 @@ from .exact_linalg import (
 )
 
 
-def vec_add(a, b, scale=1, m=None):
+def vec_add(a, b, m, scale=1):
     out = dict(a)
     for key, v in b.items():
         out[key] = out.get(key, 0) + scale * v
-    if m is not None:
-        out = {k: v % m for k, v in out.items()}
-    return {k: v for k, v in out.items() if v}
+    return {k: v % m for k, v in out.items() if v % m}
 
 
 def vec_scale(a, c, m):
@@ -254,6 +252,13 @@ class ChainAlgebra:
 # homology
 
 
+def d_vectors(Q, r, s):
+    """d of each basis element of Q_(r,s+1), as a dense vector over the basis of Q_(r,s)."""
+    below = Q.basis_at(r, s)
+    rows = [Q.d_of(a) for a in Q.basis_at(r, s + 1)]
+    return [[row.get(x, 0) % Q.m for x in below] for row in rows]
+
+
 @dataclass(frozen=True)
 class HClass:
     """A homology class: canonical coordinates plus its canonical cycle."""
@@ -281,23 +286,12 @@ class Homology:
                 self._pres[r] = None
                 continue
             below = Q.basis_at(r, k - 1)
-            if k == 0 or not below:
+            if not below:
                 cycles = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
             else:
-                bi = {x: i for i, x in enumerate(below)}
-                mat = [[0] * rank for _ in below]
-                for j, a in enumerate(basis):
-                    for x, v in Q.d_of(a).items():
-                        mat[bi[x]][j] = v % Q.m
+                mat = [list(col) for col in zip(*d_vectors(Q, r, k - 1))]
                 cycles = list(solve_dense(mat, [0] * len(below), Q.m).kernel_basis)
-            bdries = []
-            for a in Q.basis_at(r, k + 1):
-                img = Q.d_of(a)
-                vec = [0] * rank
-                for x, v in img.items():
-                    vec[basis.index(x)] = v % Q.m
-                if any(vec):
-                    bdries.append(tuple(vec))
+            bdries = [tuple(vec) for vec in d_vectors(Q, r, k) if any(vec)]
             self._pres[r] = subquotient_presentation(cycles, bdries, rank, Q.m)
 
     def presentation(self, r):
@@ -376,12 +370,7 @@ def truncate(Q, n2):
         basis = Q.basis_at(r, n2)
         if not basis:
             continue
-        rels = []
-        for a in Q.basis_at(r, n2 + 1):
-            img = Q.d_of(a)
-            vec = [img.get(x, 0) % Q.m for x in basis]
-            if any(vec):
-                rels.append(vec)
+        rels = [vec for vec in d_vectors(Q, r, n2) if any(vec)]
         pres = quotient_presentation(len(basis), rels, Q.m)
         if any(e != k for e in pres.order_exps):
             raise UserInputError(

@@ -53,14 +53,20 @@ def _load_json(path, what):
         raise UserInputError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UserInputError(f"{what} file is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UserInputError(f"{what} file cannot be read as UTF-8 text: {path} ({exc})")
 
 
 def _emit(doc, out_path=None):
+    """Write the document to out_path, if given, and then to stdout."""
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    sys.stdout.write(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UserInputError(f"cannot write the --out file: {out_path}: {exc.strerror or exc}")
+    sys.stdout.write(payload)
 
 
 def _violation_out(v):
@@ -237,43 +243,38 @@ def build_parser():
     return parser
 
 
-def _user_error(command, exc, out_path):
-    _emit(
-        {
-            "command": command,
-            "status": "error",
-            "error": str(exc),
-            "detail": _jsonable(exc.detail),
-            "kind": "user",
-        },
-        out_path,
-    )
+def _user_error(command, exc):
     print(f"error: {exc}", file=sys.stderr)
-    return 1
+    return {"command": command, "status": "error", "error": str(exc), "detail": _jsonable(exc.detail), "kind": "user"}
+
+
+def _outcome(args):
+    """The result document and exit code of a parsed command line."""
+    try:
+        return run(args), 0
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return {"command": args.command, "status": "error", "error": str(exc), "kind": "budget"}, 1
+    except UserInputError as exc:
+        return _user_error(args.command, exc), 1
+    except Exception as exc:  # a bug in the engine: still one JSON document, exit 2
+        traceback.print_exc()
+        return {"command": args.command, "status": "error", "error": f"{type(exc).__name__}: {exc}", "kind": "internal"}, 2
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except UserInputError as exc:  # the command line itself did not parse
-        return _user_error(None, exc, None)
-    try:
-        result = run(args)
-    except BudgetExceededError as exc:
-        _emit({"command": args.command, "status": "error", "error": str(exc), "kind": "budget"}, args.out)
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(_user_error(None, exc))
         return 1
-    except UserInputError as exc:
-        return _user_error(args.command, exc, args.out)
-    except Exception as exc:  # a bug in the engine: still one JSON document, exit 2
-        traceback.print_exc()
-        _emit(
-            {"command": args.command, "status": "error", "error": f"{type(exc).__name__}: {exc}", "kind": "internal"},
-            args.out,
-        )
-        return 2
-    _emit(result, args.out)
-    return 0
+    doc, code = _outcome(args)
+    try:
+        _emit(doc, args.out)
+    except UserInputError as exc:  # the --out file cannot be written: report that instead
+        _emit(_user_error(args.command, exc))
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ The standard balls (cube_ball, corner_ball) are built once per dimension and
 shared: a ball and its chain basis are immutable values, and nothing may
 change their cells, boundary rows or boundary set after construction.
 
-Chain-level cylinders (with a chosen collapsed subcomplex) and cylinders
-attached along a face are built here as generic based chain complexes, so
-that homotopies and actions reduce to plain linear algebra.
+Chain-level cylinders (with a chosen collapsed subcomplex) and a face's
+cylinder glued onto a ball are built here as generic based chain complexes,
+so that homotopies and actions reduce to plain linear algebra.
 """
 
 from dataclasses import dataclass
@@ -424,57 +424,51 @@ def cylinder_ball(ball, rel=None):
 
 
 class AttachedCylinder:
-    """A ball with a cylinder glued onto one boundary face.
+    """A ball with a face's cylinder glued onto that face.
 
-    Carries the deterministic chain map from the ball into the glued complex
-    that is the identity on the rest of the boundary and sweeps the face
-    across the cylinder:  phi(c) = c - sleeve(face part of dc), phi(a) = far
-    copy of a for face cells a.
+    cyl is a cylinder on a face of the ball (a subcomplex of its boundary).
+    It must collapse exactly the face's rim, the cells the face shares with
+    the rest of the boundary: that is what makes action_map a chain map.  The
+    glued complex identifies the cylinder's top end and its collapsed cells
+    with the face in the ball; its bottom end and its sleeves keep their
+    cylinder names, and no other cell is added.
     """
 
-    def __init__(self, ball, face_cells):
-        face_cells = frozenset(face_cells)
-        if not face_cells <= ball.boundary:
+    def __init__(self, ball, cyl):
+        face = frozenset(cyl.base.dims)
+        if not face <= ball.boundary:
             raise UserInputError("face must lie in the ball boundary")
-        if not ball.basis.is_closed(face_cells):
+        if not ball.basis.is_closed(face):
             raise UserInputError("face must be a subcomplex")
+        if cyl.collapse != face & opposite_face(ball, face):
+            raise UserInputError("the cylinder must collapse exactly the rim of the face")
         self.ball = ball
-        self.face = face_cells
-        # rim = face cells shared with the closure of the opposite boundary;
-        # the cylinder over the rim is collapsed
-        self.rim = face_cells & opposite_face(ball, face_cells)
-        self.face_interior = frozenset(c for c in face_cells if c not in self.rim)
+        self.cyl = cyl
         dims = dict(ball.basis.dims)
-        bnd = {c: dict(ball.basis.boundary_of(c)) for c in ball.basis.dims}
-        for a in self.face_interior:
-            d = ball.basis.dim(a)
-            dims["0:" + a] = d
-            dims["e:" + a] = d + 1
-            row0 = {}
-            for x, v in ball.basis.boundary_of(a).items():
-                row0[self.far(x)] = row0.get(self.far(x), 0) + v
-            bnd["0:" + a] = row0
-            rowe = {a: 1, "0:" + a: -1}
-            for x, v in ball.basis.boundary_of(a).items():
-                if x in self.face_interior:
-                    rowe["e:" + x] = rowe.get("e:" + x, 0) - v
-            bnd["e:" + a] = rowe
+        bnd = dict(ball.basis.bnd)
+        for x in cyl.basis.cells():
+            if x[:2] in ("-:", "e:"):
+                dims[x] = cyl.basis.dim(x)
+                bnd[x] = {self.glued(y): v for y, v in cyl.basis.boundary_of(x).items()}
         self.basis = ChainBasis(dims, bnd, None, ball.label + "+cyl")
 
-    def far(self, a):
-        return "0:" + a if a in self.face_interior else a
+    @staticmethod
+    def glued(x):
+        """The name of a cylinder cell in the glued complex."""
+        return x[2:] if x[:2] in ("+:", "=:") else x
 
     def action_map(self):
-        """Chain map from the ball into the glued complex, identity on the
-        opposite boundary, sending the face to the far cylinder end."""
+        """Chain map from the ball into the glued complex: the identity on the
+        rest of the boundary, sweeping the face to the cylinder's bottom end."""
+        cyl = self.cyl
         phi = {}
         for c in self.ball.basis.cells():
-            if c in self.face:
-                phi[c] = {self.far(c): 1}
+            if c in cyl.base.dims:
+                phi[c] = {self.glued(cyl.bottom(c)): 1}
             else:
                 row = {c: 1}
                 for x, v in self.ball.basis.boundary_of(c).items():
-                    if x in self.face_interior:
-                        row["e:" + x] = row.get("e:" + x, 0) - v
+                    if x in cyl.base.dims and x not in cyl.collapse:
+                        row[cyl.sleeve(x)] = row.get(cyl.sleeve(x), 0) - v
                 phi[c] = row
         return phi

@@ -19,7 +19,7 @@ def _need(doc, key, where, types):
     if key not in doc:
         raise UserInputError(f"missing field {key!r} at {where}")
     val = doc[key]
-    if not isinstance(val, types):
+    if isinstance(val, bool) or not isinstance(val, types):  # no field is boolean, and bool is an int
         raise UserInputError(f"field {key!r} at {where} has the wrong type")
     return val
 

@@ -164,15 +164,8 @@ def howell_form(vectors, width, m):
         pool = rest
     # back-reduction: entries above each pivot are reduced modulo the pivot
     for idx in range(len(result) - 1, -1, -1):
-        row = result[idx]
-        for lower in result[idx + 1 :]:
-            j = _leading(lower)
-            a = padic_val(lower[j], p, k)
-            q = row[j] // (p**a)
-            if q:
-                for t in range(len(row)):
-                    row[t] = (row[t] - q * lower[t]) % m
-    return tuple(tuple(r) for r in result)
+        result[idx] = howell_reduce(result[idx], result[idx + 1 :], m)
+    return tuple(result)
 
 
 def howell_reduce(vec, basis, m):

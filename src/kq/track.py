@@ -5,8 +5,10 @@ element of (target module tensor algebra) in bidegree (deg l, dim c),
 subject to the chain condition d(f(c,l)) = f(dc, l).  Composition goes
 through the diagonal of the base, gluing is union of value tables, and
 homotopies live over chain-level cylinders.  Every change of base is a
-pullback along a chain map: restriction along an inclusion, and the
-constant homotopy along the projection of its cylinder.  Extensions,
+pullback along a chain map: restriction along an inclusion, the constant
+homotopy along the projection of its cylinder, and the action of a
+homotopy on a face along the sweep of that face across the homotopy's own
+cylinder, glued onto the ball (cubical.AttachedCylinder).  Extensions,
 homotopy tests and each stage of the Toda tower (kq.toda) are all instances
 of one linear solver over Z/p^k, solve_for_values.  It returns the solution
 set, whose free parameters are reported for reproducibility and
@@ -16,7 +18,7 @@ enumeration; SolveResult.instantiate builds one member from it.
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .chain_algebra import GradedModule, ModElem, NatElem, pair_basis
+from .chain_algebra import GradedModule, ModElem, pair_basis
 from .cubical import (
     AttachedCylinder,
     Ball,
@@ -479,60 +481,28 @@ def sigma_homotopy(f, alpha, orientation=1):
 
 
 def act(F, witness, face_cells):
-    """Glue a cylinder carrying the witness onto the face and sweep across it."""
-    att = AttachedCylinder(F.ball, face_cells)
-    cyl = witness.cyl
-    base_cells = set(witness.base_ball.basis.dims)
-    if base_cells != set(face_cells):
+    """Glue the witness's cylinder onto the face and pull back along the sweep."""
+    face = frozenset(face_cells)
+    if set(witness.base_ball.basis.dims) != face:
         raise UserInputError("witness base must be the face being acted on")
-    for c in face_cells:
+    cyl = witness.cyl
+    for c in face:
         for i in range(F.src.size):
             if not (witness.mor.value(cyl.top(c), i) == F.value(c, i)):
                 raise UserInputError("witness top face must equal the restriction of F")
-    phi = att.action_map()
-    values = {}
-    flag = F.tainted or witness.mor.tainted
-    for c in F.ball.basis.cells():
-        for i in range(F.src.size):
-            if c in att.face_interior:
-                acc = witness.mor.value(cyl.bottom(c), i)
-            else:
-                row = phi[c]
-                acc = ModElem.zero(F.dst, F.Q)
-                for x, coeff in row.items():
-                    if x.startswith("e:"):
-                        acc = acc.add(witness.mor.value("e:" + x[2:], i), scale=coeff)
-                    elif x.startswith("0:"):
-                        acc = acc.add(witness.mor.value(cyl.bottom(x[2:]), i), scale=coeff)
-                    else:
-                        acc = acc.add(F.value(x, i), scale=coeff)
-            flag = flag or acc.tainted
-            if not acc.is_zero():
-                values[(c, i)] = acc
-    return TrackMorphism(F.ball, F.src, F.dst, F.Q, values, flag)
+    att = AttachedCylinder(F.ball, cyl)  # checks that cyl collapses the face's rim
+    values = dict(F.values)
+    values.update((k, v) for k, v in witness.mor.values.items() if k[0][:2] in ("-:", "e:"))
+    glued = TrackMorphism(Ball(att.basis, frozenset()), F.src, F.dst, F.Q, values, F.tainted or witness.mor.tainted)
+    return pullback(glued, att.action_map(), F.ball)
 
 
-def act_nat(F, alpha, face_ball, nat, orientation=1):
+def act_nat(F, alpha, face_ball, orientation=1):
     """The normalized action of a natural-system element through a face."""
     eps = orientation_sign(F.ball, face_ball) * orientation
     f_face = restrict_to_ball(F, face_ball)
     w = sigma_homotopy(f_face, alpha, orientation=eps)
     return act(F, w, set(face_ball.basis.dims))
-
-
-def _corner_data(ball):
-    """If the ball is a union of cube facets through a corner, return
-    (ambient dimension, [(top cell, position of its fixed 0)])."""
-    tops = ball.basis.cells_of_dim(ball.basis.max_dim)
-    data = []
-    for t in tops:
-        fixed = [(i, ch) for i, ch in enumerate(t) if ch != "*"]
-        if len(fixed) != 1 or fixed[0][1] != "0":
-            return None
-        data.append((t, fixed[0][0]))
-    if len(data) < 2:
-        return None
-    return len(tops[0]), data
 
 
 def obstruction(F, nat, orientation=1):
@@ -546,37 +516,29 @@ def obstruction(F, nat, orientation=1):
         for i in range(F.src.size):
             if not F.value(c, i).is_zero():
                 raise UserInputError("obstruction needs a boundary-trivial morphism")
-    corner = _corner_data(F.ball)
-    contributions = []  # (coefficient, top cell)
-    if corner is None:
-        tops = F.ball.basis.cells_of_dim(F.ball.basis.max_dim)
-        if len(tops) != 1:
-            raise UserInputError("obstruction needs a cube or a corner-faces ball")
-        contributions.append((1, tops[0]))
-        dim = F.ball.basis.max_dim
+    dim = F.ball.basis.max_dim
+    tops = F.ball.basis.cells_of_dim(dim)
+    # a cube's top cell has sign 1; a corner ball's facet x_pos = 0 has (-1)^(dim + pos)
+    fixed = [[pos for pos, ch in enumerate(top) if ch != "*"] for top in tops]
+    if len(tops) == 1:
+        signs = [1]
+    elif len(tops) > 1 and all(len(f) == 1 and top[f[0]] == "0" for top, f in zip(tops, fixed)):
+        signs = [(-1) ** (dim + f[0]) for f in fixed]
     else:
-        ambient, data = corner
-        dim = F.ball.basis.max_dim
-        for top, pos in data:
-            coeff = -1 if (dim + pos) % 2 else 1
-            contributions.append((coeff, top))
+        raise UserInputError("obstruction needs a cube or a corner-faces ball")
     sums = []
     for i in range(F.src.size):
         acc = ModElem.zero(F.dst, F.Q)
-        for coeff, top in contributions:
-            acc = acc.add(F.value(top, i), scale=coeff * orientation)
+        for sign, top in zip(signs, tops):
+            acc = acc.add(F.value(top, i), scale=sign * orientation)
         sums.append(acc)
     return class_matrix(nat, F.src, F.dst, sums)
 
 
 def class_matrix(nat, src, dst, sums):
     """The natural-system element whose (j, i) entry is the class of the j-part of sums[i]."""
-    entries = {}
+    cycles = defaultdict(dict)
     for i, acc in enumerate(sums):
-        for j in range(dst.size):
-            vec = {q: c for (jj, q), c in acc.coeffs.items() if jj == j}
-            if not vec:
-                continue
-            r = src.degree(i) - dst.degree(j)
-            entries[(j, i)] = nat.hom.class_of(vec, r)
-    return NatElem.build(nat.k, src, dst, entries)
+        for (j, q), c in acc.coeffs.items():
+            cycles[(j, i)][q] = c
+    return nat.from_cycles(src, dst, cycles)

@@ -472,8 +472,28 @@ def _replace(doc, path, value):
         ("algebra", ("products", 0, "to"), [7], "expected an object at products[0].to[0]"),
         ("sequence", ("modules",), [3], "expected an object at modules[0]"),
         ("sequence", ("maps", 0, "entries"), [0], "expected an object at maps[0].entries[0]"),
+        # JSON true and false are not integers, although Python's bool is an int
+        ("algebra", ("truncation",), True, "field 'truncation' at document has the wrong type"),
+        ("algebra", ("basis", 1, "r"), True, "field 'r' at basis[1] has the wrong type"),
+        ("algebra", ("differential", 0, "to", 0, "coeff"), True, "field 'coeff' at differential[0].to[0] has the wrong type"),
+        ("sequence", ("modules", 1, "generators", 0, "r"), False, "field 'r' at modules[1].generators[0] has the wrong type"),
+        ("sequence", ("maps", 0, "entries", 0, "row"), True, "field 'row' at maps[0].entries[0] has the wrong type"),
     ],
-    ids=["document", "basis", "differential-item", "differential", "products", "product-target", "modules", "entries"],
+    ids=[
+        "document",
+        "basis",
+        "differential-item",
+        "differential",
+        "products",
+        "product-target",
+        "modules",
+        "entries",
+        "bool-truncation",
+        "bool-basis-r",
+        "bool-coeff",
+        "bool-generator-r",
+        "bool-entry-row",
+    ],
 )
 def test_malformed_document_is_user_error(which, path, value, mentions, capsys, tmp_path):
     paths = {
@@ -488,6 +508,34 @@ def test_malformed_document_is_user_error(which, path, value, mentions, capsys, 
         argv = ["toda", "--algebra", str(paths["algebra"]), "--sequence", str(paths["sequence"])]
     code, out, _ = run_cli(capsys, *argv)
     _assert_user_error(code, out, mentions)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--algebra", str(FIXTURES / "massey_algebra.json")],
+        ["homology", "--algebra", str(FIXTURES / "broken_d_squared.json"), "--k", "0"],
+    ],
+    ids=["succeeding", "failing"],
+)
+def test_unwritable_out_file_is_one_user_error(argv, capsys, tmp_path):
+    target = tmp_path / "no-such-dir" / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    _assert_user_error(code, out, f"cannot write the --out file: {target}")
+    assert json.loads(out)["command"] == argv[0]
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_input_that_is_not_a_readable_text_file_is_user_error(capsys, tmp_path):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{\x00}")
+    for path in (folder, binary):
+        code, out, err = run_cli(capsys, "validate", "--algebra", str(path))
+        _assert_user_error(code, out, f"algebra file cannot be read as UTF-8 text: {path}")
+        assert "Traceback" not in err
 
 
 def test_engine_budget_env_not_an_integer_rejected(monkeypatch, capsys):

@@ -25,7 +25,7 @@ from kq.cubical import (
 from kq.exact_linalg import solve_dense
 from kq.track import product_ball
 
-from track_helpers import include_bottom, include_top, is_chain_map, reverse
+from track_helpers import boundary_faces, include_bottom, include_top, is_chain_map, reverse
 
 
 def chain_add(acc, chain, scale=1):
@@ -277,15 +277,16 @@ def test_cylinder_reverse_is_a_chain_involution(n):
 
 
 def test_attached_cylinder_action_map_is_chain_map():
-    for n in (1, 2, 3):
-        ball = cube_ball(n)
-        for pos in range(n):
-            for digit in (0, 1):
-                face = facet_complex(n, pos, digit).cells
-                att = AttachedCylinder(ball, face)
-                assert dd_is_zero(att.basis)
-                phi = att.action_map()
-                assert is_chain_map(phi, ball.basis, att.basis)
+    for ball in (cube_ball(1), cube_ball(2), cube_ball(3), corner_ball(2), corner_ball(3)):
+        for face in boundary_faces(ball):
+            cyl = CylinderComplex(face.basis, face.boundary)
+            att = AttachedCylinder(ball, cyl)
+            assert dd_is_zero(att.basis)
+            assert is_chain_map(att.action_map(), ball.basis, att.basis)
+            # the cylinder's bottom end and sleeves are the only cells added, under their own names
+            added = {c for c in cyl.basis.dims if c[:2] in ("-:", "e:")}
+            assert set(att.basis.dims) == set(ball.basis.dims) | added
+            assert all(att.basis.dim(c) == cyl.basis.dim(c) for c in added)
 
 
 def test_product_ball_concatenates():

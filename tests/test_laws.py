@@ -108,7 +108,7 @@ def test_abelian_union_property(qm):
                 top = piece_ball.basis.cells_of_dim(1)[0]
                 o = -1 if (1 + pos) % 2 else 1
                 vertex = face_ball_of(piece_ball, {"0" * 2})
-                acted = act_nat(piece, alpha, vertex, nat, orientation=o)
+                acted = act_nat(piece, alpha, vertex, orientation=o)
                 glued = glue([acted, other], tball)
                 assert obstruction(glued, nat).coords_key() == expected.coords_key()
 

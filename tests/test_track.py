@@ -309,7 +309,7 @@ def test_sigma_and_action_normalization(qm):
     for alpha in enumerate_nat(nat, L3, L0):
         for pos, digit in ((0, 0), (0, 1)):
             face = facet_ball(1, pos, digit)
-            acted = act_nat(zero, alpha, face, nat)
+            acted = act_nat(zero, alpha, face)
             assert acted.check() == []
             ob = obstruction(acted, nat)
             assert ob.coords_key() == alpha.coords_key()
@@ -351,7 +351,7 @@ def test_action_transitive_effective_count(qm):
     face = facet_ball(1, 0, 0)
     hit = set()
     for alpha in enumerate_nat(nat, L, M):
-        acted = act_nat(zero, alpha, face, nat)
+        acted = act_nat(zero, alpha, face)
         hit.add(obstruction(acted, nat).coords_key())
     assert len(hit) == n_fillers
 

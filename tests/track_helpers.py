@@ -3,9 +3,10 @@
 Random morphisms and solver choices, the self-homotopy space of a morphism,
 the ends, reversal and pasting of homotopies, the constant lift of a point
 morphism and its H_0 classes, a chain-map check and a chain-map solver
-between based complexes, every element of a natural system, and the
-obstruction found by exhaustive search over the natural-system group.  They
-check the library against independent constructions and are not part of it.
+between based complexes, every element of a natural system, the
+obstruction found by exhaustive search over the natural-system group, and
+the boundary faces of a cubical ball.  They check the library against
+independent constructions and are not part of it.
 """
 
 from kq import track
@@ -275,8 +276,18 @@ def obstruction_via_action(F, nat, face_ball, orientation=1, budget=None):
     found = []
     for alpha in enumerate_nat(nat, F.src, F.dst):
         budget.charge()
-        cand = track.act_nat(zero, alpha, face_ball, nat, orientation)
+        cand = track.act_nat(zero, alpha, face_ball, orientation)
         w, _ = track.homotopic(cand, F)
         if w is not None:
             found.append(alpha)
     return found
+
+
+def boundary_faces(ball):
+    """Each top cell of a cubical ball's boundary with all its faces, as a face ball."""
+    top = max(ball.basis.dim(c) for c in ball.boundary)
+    out = []
+    for t in sorted(c for c in ball.boundary if ball.basis.dim(c) == top):
+        cells = {c for c in ball.boundary if all(a in (b, "*") for a, b in zip(t, c))}
+        out.append(track.face_ball_of(ball, cells, label=f"{ball.label}:{t}"))
+    return out
