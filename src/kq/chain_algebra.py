@@ -16,7 +16,7 @@ free graded modules) live here as well.
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
+from .errors import InternalInvariantError, UserInputError
 from .exact_linalg import (
     prime_power,
     quotient_presentation,
@@ -441,7 +441,9 @@ def truncate(Q, n2):
 
 
 # ---------------------------------------------------------------------------
-# graded modules and their elements
+# graded modules; an element of (module tensor Q) is a plain vector
+# {(generator index, algebra basis name): residue}, and a window cut met in
+# computing one is recorded only in the TrackMorphism.tainted of its morphism
 
 
 @dataclass(frozen=True)
@@ -477,73 +479,17 @@ def pair_basis(module, Q, upper, lower):
     return out
 
 
-@dataclass
-class ModElem:
-    """Homogeneous element of (module tensor Q); taint marks window cutoffs."""
+def by_generator(vec):
+    """A vector of (module tensor Q) split into one algebra vector per generator."""
+    out = defaultdict(dict)
+    for (j, q), c in vec.items():
+        out[j][q] = c
+    return out
 
-    module: GradedModule
-    Q: ChainAlgebra
-    coeffs: dict  # (gen index, algebra basis name) -> residue
-    tainted: bool = False
 
-    def clean(self):
-        m = self.Q.m
-        self.coeffs = {k: v % m for k, v in self.coeffs.items() if v % m}
-        return self
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def copy(self):
-        return ModElem(self.module, self.Q, dict(self.coeffs), self.tainted)
-
-    def add(self, other, scale=1):
-        if other.Q.m != self.Q.m:
-            raise ModulusMismatchError("mixing moduli")
-        out = dict(self.coeffs)
-        for key, v in other.coeffs.items():
-            out[key] = out.get(key, 0) + scale * v
-        return ModElem(self.module, self.Q, out, self.tainted or other.tainted).clean()
-
-    def scale(self, c):
-        return ModElem(
-            self.module, self.Q, {k: v * c for k, v in self.coeffs.items()}, self.tainted
-        ).clean()
-
-    def d(self):
-        out = {}
-        for (j, a), c in self.coeffs.items():
-            for x, v in self.Q.d_of(a).items():
-                out[(j, x)] = out.get((j, x), 0) + c * v
-        return ModElem(self.module, self.Q, out, self.tainted).clean()
-
-    def rmul(self, qvec):
-        """Right multiplication by an algebra element (sparse vector)."""
-        out = {}
-        tainted = self.tainted
-        for (j, a), c in self.coeffs.items():
-            for b, cb in qvec.items():
-                row, flag = self.Q.mul_of(a, b)
-                tainted = tainted or flag
-                for x, v in row.items():
-                    out[(j, x)] = out.get((j, x), 0) + c * cb * v
-        return ModElem(self.module, self.Q, out, tainted).clean()
-
-    @staticmethod
-    def zero(module, Q):
-        return ModElem(module, Q, {})
-
-    @staticmethod
-    def generator(module, Q, j):
-        return ModElem(module, Q, {(j, Q.unit): 1})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModElem)
-            and self.module == other.module
-            and {k: v % self.Q.m for k, v in self.coeffs.items() if v % self.Q.m}
-            == {k: v % other.Q.m for k, v in other.coeffs.items() if v % other.Q.m}
-        )
+def tensor_d(Q, vec):
+    """d of a vector of (module tensor Q): the algebra's d on each generator's part."""
+    return {(j, x): v for j, part in by_generator(vec).items() for x, v in Q.elem_d(part).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ and the traceback on stderr).
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -40,15 +41,14 @@ from .toda import (
 )
 
 
-def _sha256(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _load_json(path, what):
+    """The parsed document and the sha256 of the bytes it was parsed from, read once."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # decoded as a text-mode read would, newlines translated, so JSON error positions stay put
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        return json.loads(text), hashlib.sha256(raw).hexdigest()
     except FileNotFoundError:
         raise UserInputError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -74,8 +74,7 @@ def _violation_out(v):
 
 
 def _load_algebra(args, result, require_valid=True):
-    doc = _load_json(args.algebra, "algebra")
-    result["inputs"]["algebra_sha256"] = _sha256(args.algebra)
+    doc, result["inputs"]["algebra_sha256"] = _load_json(args.algebra, "algebra")
     algebra, violations = parse_algebra(doc)
     if violations and require_valid:
         raise UserInputError(
@@ -88,8 +87,7 @@ def _load_algebra(args, result, require_valid=True):
 def _load_sequence(args, result, algebra):
     if not args.sequence:
         raise UserInputError("this command needs --sequence")
-    doc = _load_json(args.sequence, "sequence")
-    result["inputs"]["sequence_sha256"] = _sha256(args.sequence)
+    doc, result["inputs"]["sequence_sha256"] = _load_json(args.sequence, "sequence")
     return parse_sequence(doc, algebra)
 
 

@@ -133,15 +133,19 @@ def _leading(row):
     return None
 
 
+def _with_leading(rows):
+    """(leading index, row) for each nonzero row, computed once as the row enters the pool."""
+    return [(lead, r) for lead, r in ((_leading(r), r) for r in rows) if lead is not None]
+
+
 def howell_form(vectors, width, m):
     """Unique canonical generating set for the span of the given row vectors."""
     p, k = prime_power(m)
-    pool = [list(v) for v in vectors]
-    pool = [[x % m for x in r] for r in pool]
+    pool = _with_leading([x % m for x in v] for v in vectors)
     result = []
     for j in range(width):
-        cands = [r for r in pool if _leading(r) == j]
-        rest = [r for r in pool if _leading(r) is not None and _leading(r) > j]
+        cands = [r for lead, r in pool if lead == j]
+        rest = [(lead, r) for lead, r in pool if lead > j]
         if not cands:
             pool = rest
             continue
@@ -151,17 +155,14 @@ def howell_form(vectors, width, m):
         w = piv[j] // (p**a)
         winv = pow(w, -1, m)
         piv = [(x * winv) % m for x in piv]
+        new = []
         for r in cands[1:]:
             q = r[j] // (p**a)
-            red = [(x - q * y) % m for x, y in zip(r, piv)]
-            if _leading(red) is not None:
-                rest.append(red)
+            new.append([(x - q * y) % m for x, y in zip(r, piv)])
         if a > 0:
-            shadow = [(x * p ** (k - a)) % m for x in piv]
-            if _leading(shadow) is not None:
-                rest.append(shadow)
+            new.append([(x * p ** (k - a)) % m for x in piv])
         result.append(piv)
-        pool = rest
+        pool = rest + _with_leading(new)
     # back-reduction: entries above each pivot are reduced modulo the pivot
     for idx in range(len(result) - 1, -1, -1):
         result[idx] = howell_reduce(result[idx], result[idx + 1 :], m)

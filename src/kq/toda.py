@@ -17,7 +17,7 @@ the first coherent leaf.
 
 from dataclasses import dataclass, field
 
-from .chain_algebra import ModElem, NatSystem
+from .chain_algebra import NatSystem, vec_add, vec_scale
 from .cubical import Ball, ChainBasis
 from .errors import UserInputError
 from .oracle_support import EnumerationBudget, enumerate_block_choices
@@ -93,11 +93,11 @@ class _Tower:
         tainted = any(left.tainted or right.tainted for _, left, right in pairs)
         sums = []
         for gen in range(src.size):
-            acc = ModElem.zero(dst, Q)
+            acc = {}
             for r, left, right in pairs:
-                term = apply_q_linear(left, "*" * r, right.value("*" * (k - 1 - r), gen))
-                acc = acc.add(term, scale=-1 if r % 2 == 0 else 1)
-            tainted = tainted or acc.tainted
+                term, cut = apply_q_linear(left, "*" * r, right.value("*" * (k - 1 - r), gen))
+                tainted = tainted or cut
+                acc = vec_add(acc, term, Q.m, scale=-1 if r % 2 == 0 else 1)
             sums.append(acc)
         return src, dst, sums, tainted
 
@@ -105,15 +105,15 @@ class _Tower:
         """The class of (-1)^(n+1) times the level-(n+1) corner sum, and its taint."""
         src, dst, sums, tainted = self.corner_sum(i, n + 1)
         sign = -1 if n % 2 == 0 else 1
-        return class_matrix(nat, src, dst, [acc.scale(sign) for acc in sums]), tainted
+        return class_matrix(nat, src, dst, [vec_scale(acc, sign, nat.Q.m) for acc in sums]), tainted
 
     def solve(self, i, k):
         """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum."""
         src, dst, sums, tainted = self.corner_sum(i, k)
         top = "*" * k
         ball = Ball(ChainBasis({top: k}, {}), frozenset(), top)
-        rhs = {(top, gen): ModElem(dst, acc.Q, acc.coeffs, tainted) for gen, acc in enumerate(sums)}
-        return solve_for_values(ball, self.data[(i, 0)].Q, src, dst, {}, [top], rhs=rhs)
+        rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
+        return solve_for_values(ball, self.data[(i, 0)].Q, src, dst, {}, [top], rhs=rhs, tainted=tainted)
 
     def with_level(self, i, k, res):
         data = {**self.data, (i, k): res.morphism}
@@ -234,10 +234,10 @@ def triple_indeterminacy(Q, seq, nat=None):
             for t in range(pres.rank):
                 h = nat.hom.class_from_coords(r, tuple(int(s == t) for s in range(pres.rank)))
                 e = pt_morphism(pt, Q, src, dst, {(j, i): dict(h.rep)})
-                sums = [product(e, g) for g in range(X3.size)]
-                if any(acc.tainted for acc in sums):
+                products = [product(e, g) for g in range(X3.size)]
+                if any(cut for _, cut in products):
                     return None
-                img = class_matrix(nat, X3, X0, sums)
+                img = class_matrix(nat, X3, X0, [acc for acc, _ in products])
                 if not img.is_zero():
                     gens.append(img)
     seen = {}

@@ -2,7 +2,11 @@
 
 A morphism assigns to each cell c of a ball and each source generator l an
 element of (target module tensor algebra) in bidegree (deg l, dim c),
-subject to the chain condition d(f(c,l)) = f(dc, l).  Composition goes
+subject to the chain condition d(f(c,l)) = f(dc, l).  A value is a plain
+sparse vector {(target generator, algebra basis name): residue}; whether a
+window cut occurred while a morphism was built is recorded once, in
+TrackMorphism.tainted, and every constructor here sets it to cover the
+morphisms and products it was built from.  Composition goes
 through the diagonal of the base, gluing is union of value tables, and
 homotopies live over chain-level cylinders.  Every change of base is a
 pullback along a chain map: restriction along an inclusion, the constant
@@ -18,7 +22,7 @@ enumeration; SolveResult.instantiate builds one member from it.
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .chain_algebra import GradedModule, ModElem, pair_basis
+from .chain_algebra import GradedModule, by_generator, pair_basis, tensor_d, vec_add
 from .cubical import (
     AttachedCylinder,
     Ball,
@@ -29,7 +33,7 @@ from .cubical import (
     opposite_face,
     orientation_sign,
 )
-from .errors import InternalInvariantError, UserInputError
+from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
 from .exact_linalg import solve_dense
 
 
@@ -39,39 +43,25 @@ class TrackMorphism:
     src: GradedModule
     dst: GradedModule
     Q: object
-    values: dict  # (cell, generator index) -> ModElem, nonzero entries only
-    window_tainted: bool = False  # a window cutoff occurred while building
-
-    def clean(self):
-        self.values = {k: v for k, v in self.values.items() if not v.clean().is_zero()}
-        return self
+    values: dict  # (cell, generator index) -> {(target gen, algebra name): residue}, nonzero only
+    tainted: bool = False  # a window cutoff occurred while building
 
     def value(self, cell, i):
-        v = self.values.get((cell, i))
-        if v is None:
-            return ModElem.zero(self.dst, self.Q)
-        return v
+        return self.values.get((cell, i), {})
 
     def eval_chain(self, chain, i):
-        out = ModElem.zero(self.dst, self.Q)
+        out = {}
         for cell, coeff in chain.items():
             v = self.values.get((cell, i))
             if v is not None:
-                out = out.add(v, scale=coeff)
+                out = vec_add(out, v, self.Q.m, scale=coeff)
         return out
-
-    @property
-    def tainted(self):
-        return self.window_tainted or any(v.tainted for v in self.values.values())
 
     def is_zero(self):
         return not self.values
 
     def equal(self, other):
-        if self.src != other.src or self.dst != other.dst:
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(self.value(c, i) == other.value(c, i) for c, i in keys)
+        return self.src == other.src and self.dst == other.dst and self.values == other.values
 
     def check(self):
         """Exact chain-condition check; returns the offending (cell, gen) list."""
@@ -79,7 +69,7 @@ class TrackMorphism:
         for cell in self.ball.basis.cells():
             bnd = self.ball.basis.boundary_of(cell)
             for i in range(self.src.size):
-                lhs = self.value(cell, i).d()
+                lhs = tensor_d(self.Q, self.value(cell, i))
                 rhs = self.eval_chain(bnd, i)
                 if lhs != rhs:
                     bad.append((cell, i))
@@ -91,10 +81,7 @@ def zero_morphism(ball, src, dst, Q):
 
 
 def identity_morphism(ball, module, Q):
-    values = {}
-    for cell in ball.basis.cells_of_dim(0):
-        for i in range(module.size):
-            values[(cell, i)] = ModElem.generator(module, Q, i)
+    values = {(cell, i): {(i, Q.unit): 1} for cell in ball.basis.cells_of_dim(0) for i in range(module.size)}
     return TrackMorphism(ball, module, module, Q, values)
 
 
@@ -109,29 +96,21 @@ def pt_morphism(ball, Q, src, dst, entries):
     cell = cells[0]
     values = {}
     for i in range(src.size):
-        coeffs = {}
-        for (j, ii), vec in entries.items():
-            if ii != i:
-                continue
-            for q, c in vec.items():
-                coeffs[(j, q)] = (coeffs.get((j, q), 0) + c) % Q.m
-        elem = ModElem(dst, Q, coeffs).clean()
-        if not elem.is_zero():
-            values[(cell, i)] = elem
+        vec = {(j, q): c % Q.m for (j, ii), row in entries.items() if ii == i for q, c in row.items() if c % Q.m}
+        if vec:
+            values[(cell, i)] = vec
     return TrackMorphism(ball, src, dst, Q, values)
 
 
-def apply_q_linear(g, cell, elem):
-    """g(cell x -) applied Q-linearly to an element of g's source module."""
-    out = ModElem.zero(g.dst, g.Q)
-    for (j, q), c in elem.coeffs.items():
-        gv = g.value(cell, j)
-        if gv.is_zero():
-            continue
-        out = out.add(gv.rmul({q: 1}), scale=c)
-    if elem.tainted:
-        out = ModElem(out.module, out.Q, out.coeffs, True)
-    return out
+def apply_q_linear(g, cell, vec):
+    """g(cell x -) applied Q-linearly to a vector over g's source module, and whether the window cut a product."""
+    out, cut = {}, False
+    for i, q in by_generator(vec).items():
+        for j, part in by_generator(g.value(cell, i)).items():
+            prod, flag = g.Q.elem_mul(part, q)
+            cut = cut or flag
+            out = vec_add(out, {(j, x): v for x, v in prod.items()}, g.Q.m)
+    return out, cut
 
 
 def compose(g, f):
@@ -146,16 +125,17 @@ def compose(g, f):
     for cell in basis.cells():
         terms = basis.diag_of(cell)
         for i in range(f.src.size):
-            out = ModElem.zero(g.dst, g.Q)
+            out = {}
             for sign, front, back in terms:
                 fv = f.values.get((back, i))
                 if fv is None:
                     continue
-                out = out.add(apply_q_linear(g, front, fv), scale=sign)
-            flag = flag or out.tainted
-            if not out.is_zero():
+                term, cut = apply_q_linear(g, front, fv)
+                flag = flag or cut
+                out = vec_add(out, term, g.Q.m, scale=sign)
+            if out:
                 values[(cell, i)] = out
-    return TrackMorphism(f.ball, f.src, g.dst, g.Q, values, flag).clean()
+    return TrackMorphism(f.ball, f.src, g.dst, g.Q, values, flag)
 
 
 def restrict(f, cells):
@@ -176,9 +156,9 @@ def pullback(f, phi, new_ball):
         row = phi.get(cell, {})
         for i in range(f.src.size):
             v = f.eval_chain(row, i)
-            if not v.is_zero():
+            if v:
                 values[(cell, i)] = v
-    return TrackMorphism(new_ball, f.src, f.dst, f.Q, values, f.window_tainted)
+    return TrackMorphism(new_ball, f.src, f.dst, f.Q, values, f.tainted)
 
 
 def glue(pieces, ball):
@@ -187,7 +167,7 @@ def glue(pieces, ball):
         raise UserInputError("nothing to glue")
     src, dst, Q = pieces[0].src, pieces[0].dst, pieces[0].Q
     values = {}
-    owner = {}
+    owner = set()
     for f in pieces:
         if f.src != src or f.dst != dst:
             raise UserInputError("glued pieces must share modules")
@@ -197,18 +177,18 @@ def glue(pieces, ball):
             for i in range(src.size):
                 v = f.value(cell, i)
                 if (cell, i) in owner:
-                    if not (values.get((cell, i), ModElem.zero(dst, Q)) == v):
+                    if values.get((cell, i), {}) != v:
                         raise UserInputError(f"face mismatch when gluing at {cell!r}")
                 else:
-                    owner[(cell, i)] = True
-                    if not v.is_zero():
-                        values[(cell, i)] = v.copy()
+                    owner.add((cell, i))
+                    if v:
+                        values[(cell, i)] = v
     covered = set()
     for f in pieces:
         covered.update(f.ball.basis.dims)
     if covered != set(ball.basis.dims):
         raise UserInputError("glued pieces do not cover the target ball")
-    flag = any(f.window_tainted for f in pieces)
+    flag = any(f.tainted for f in pieces)
     return TrackMorphism(ball, src, dst, Q, values, flag)
 
 
@@ -238,9 +218,9 @@ def tensor(g, f):
                 fv = f.values.get((c2, i))
                 if fv is None:
                     continue
-                out = apply_q_linear(g, c1, fv)
-                flag = flag or out.tainted
-                if not out.is_zero():
+                out, cut = apply_q_linear(g, c1, fv)
+                flag = flag or cut
+                if out:
                     values[(c1 + c2, i)] = out
     return TrackMorphism(ball, f.src, g.dst, g.Q, values, flag)
 
@@ -251,11 +231,11 @@ def inject_cubical(f, position, digit, ambient_ball):
     values = {}
     cells = []
     for (c, i), v in f.values.items():
-        values[(c[:position] + d + c[position:], i)] = v.copy()
+        values[(c[:position] + d + c[position:], i)] = v
     for c in f.ball.basis.cells():
         cells.append(c[:position] + d + c[position:])
     sub = Ball(ambient_ball.basis.subbasis(cells), frozenset(), f"{f.ball.label}@{position}:{digit}")
-    return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.window_tainted)
+    return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.tainted)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +281,7 @@ class SolveResult:
         """
         f = self.morphism
         solved = {(c, b.generator) for b in self.blocks for c, _ in b.slots}
-        values = {k: v.copy() for k, v in f.values.items() if k not in solved}
+        values = {k: v for k, v in f.values.items() if k not in solved}
         blocks = []
         for b in self.blocks:
             sol = b.solutions
@@ -312,10 +292,8 @@ class SolveResult:
             blocks.append(SolveBlock(b.generator, b.slots, sol, pick if pick else (0,) * len(sol.kernel_basis)))
             for t, (c, key) in enumerate(b.slots):
                 if x[t] % f.Q.m:
-                    cur = values.get((c, b.generator), ModElem.zero(f.dst, f.Q))
-                    cur = cur.add(ModElem(f.dst, f.Q, {key: x[t]}, f.window_tainted))
-                    values[(c, b.generator)] = cur
-        mor = TrackMorphism(f.ball, f.src, f.dst, f.Q, values, f.window_tainted).clean()
+                    values.setdefault((c, b.generator), {})[key] = x[t] % f.Q.m
+        mor = TrackMorphism(f.ball, f.src, f.dst, f.Q, values, f.tainted)
         return SolveResult(mor, blocks)
 
     def choice_log(self, label):
@@ -332,12 +310,12 @@ class SolveResult:
         return out
 
 
-def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None):
+def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None, tainted=False):
     """The values on unknown cells with d f(c) - f(dc) = rhs(c) on every cell.
 
-    prescribed: dict (cell, generator) -> ModElem on the known cells.
-    rhs: dict (cell, generator) -> ModElem, zero where absent; a window taint
-    on it or on prescribed taints the result.
+    prescribed: dict (cell, generator) -> vector on the known cells.
+    rhs: dict (cell, generator) -> vector, zero where absent.
+    tainted: whether a window cut occurred in prescribed or rhs, the result's taint.
     Returns (SolveResult, None) or (None, certificate).  The SolveResult is
     the solution set: the prescribed values and one solved block per
     generator.  No member is built; SolveResult.instantiate builds one.
@@ -347,7 +325,6 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None):
     if any(c in unknown_cells for c, _ in prescribed):
         raise InternalInvariantError("prescribed value on an unknown cell")
     rhs = rhs or {}
-    tainted = any(v.tainted for v in [*prescribed.values(), *rhs.values()])
     cofaces = defaultdict(list)
     for x in basis.cells():
         for c, w in basis.boundary_of(x).items():
@@ -364,13 +341,13 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None):
                 entries[(x, (j, q))][t] = -w
         const = {}  # row -> rhs(c) - d known(c) + known(dc)
         for cell in basis.cells():
-            acc = rhs.get((cell, i), ModElem.zero(dst, Q))
+            acc = rhs.get((cell, i), {})
             if (cell, i) in prescribed:
-                acc = acc.add(prescribed[(cell, i)].d(), scale=-1)
+                acc = vec_add(acc, tensor_d(Q, prescribed[(cell, i)]), Q.m, scale=-1)
             for face, w in basis.boundary_of(cell).items():
                 if (face, i) in prescribed:
-                    acc = acc.add(prescribed[(face, i)], scale=w)
-            const.update(((cell, key), v) for key, v in acc.coeffs.items())
+                    acc = vec_add(acc, prescribed[(face, i)], Q.m, scale=w)
+            const.update(((cell, key), v) for key, v in acc.items())
         touched = {*unknown_cells, *(cell for cell, _ in entries), *(cell for cell, _ in const)}
         rows = [(c, key) for c in basis.cells() if c in touched for key in pair_basis(dst, Q, deg, basis.dim(c) - 1)]
         A = [[entries.get(r, {}).get(t, 0) % Q.m for t in range(len(slots))] for r in rows]
@@ -383,7 +360,7 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None):
             }
             return None, cert
         blocks.append(SolveBlock(i, slots, sol, ()))
-    values = {k: v for k, v in prescribed.items() if not v.is_zero()}
+    values = {k: v for k, v in prescribed.items() if v}
     return SolveResult(TrackMorphism(ball, src, dst, Q, values, tainted), blocks), None
 
 
@@ -395,22 +372,17 @@ def extend(ball, partial, zero_cells):
     result.  Returns (SolveResult, None) with the particular member built,
     or (None, certificate).
     """
-    prescribed = {}
-    for c in partial.ball.basis.cells():
-        for i in range(partial.src.size):
-            v = partial.value(c, i)
-            prescribed[(c, i)] = ModElem(v.module, v.Q, v.coeffs, v.tainted or partial.window_tainted)
+    prescribed = {(c, i): partial.value(c, i) for c in partial.ball.basis.cells() for i in range(partial.src.size)}
     for c in zero_cells:
         for i in range(partial.src.size):
-            if (c, i) in prescribed:
-                if not prescribed[(c, i)].is_zero():
-                    return None, {
-                        "generator": partial.src.name(i),
-                        "reason": f"prescribed zero conflicts with partial data at {c!r}",
-                    }
-            prescribed[(c, i)] = ModElem.zero(partial.dst, partial.Q)
+            if prescribed.get((c, i)):
+                return None, {
+                    "generator": partial.src.name(i),
+                    "reason": f"prescribed zero conflicts with partial data at {c!r}",
+                }
+            prescribed[(c, i)] = {}
     unknown = [c for c in ball.basis.cells() if c not in partial.ball.basis.dims and c not in set(zero_cells)]
-    res, cert = solve_for_values(ball, partial.Q, partial.src, partial.dst, prescribed, unknown)
+    res, cert = solve_for_values(ball, partial.Q, partial.src, partial.dst, prescribed, unknown, tainted=partial.tainted)
     return (None, cert) if res is None else (res.instantiate(), None)
 
 
@@ -419,13 +391,16 @@ def homotopic(f, g, rel=None):
 
     Returns (HomotopyWitness, SolveResult) with the particular member built,
     or (None, certificate).  The morphisms must agree on the rel subcomplex.
+    A window cut recorded on f or g taints the witness.
     """
     if f.src != g.src or f.dst != g.dst:
         raise UserInputError("homotopy needs matching modules")
+    if f.Q.m != g.Q.m:
+        raise ModulusMismatchError("homotopy needs morphisms over one modulus")
     collapse = f.ball.boundary if rel is None else frozenset(rel)
     for c in collapse:
         for i in range(f.src.size):
-            if not (f.value(c, i) == g.value(c, i)):
+            if f.value(c, i) != g.value(c, i):
                 raise UserInputError(f"morphisms differ on the rel subcomplex at {c!r}")
     jball, cyl = cylinder_ball(f.ball, collapse)
     prescribed = {}
@@ -435,7 +410,7 @@ def homotopic(f, g, rel=None):
             if cyl.top(c) != cyl.bottom(c):
                 prescribed[(cyl.top(c), i)] = g.value(c, i)
     unknown = [c for c in jball.basis.cells() if c.startswith("e:")]
-    res, cert = solve_for_values(jball, f.Q, f.src, f.dst, prescribed, unknown)
+    res, cert = solve_for_values(jball, f.Q, f.src, f.dst, prescribed, unknown, tainted=f.tainted or g.tainted)
     if res is None:
         return None, cert
     res = res.instantiate()
@@ -465,30 +440,22 @@ def sigma_homotopy(f, alpha, orientation=1):
     if len(tops) != 1:
         raise UserInputError("sigma needs a unique interior top cell")
     top = tops[0]
-    entry = {(j, i): h for j, i, h in alpha.entries}
     for i in range(f.src.size):
-        add = {}
-        for (j, ii), h in entry.items():
-            if ii != i:
-                continue
-            for name, c in h.rep:
-                add[(j, name)] = (add.get((j, name), 0) - c * orientation) % f.Q.m
-        if add:
-            cur = w.mor.values.get((w.cyl.sleeve(top), i), ModElem.zero(f.dst, f.Q))
-            w.mor.values[(w.cyl.sleeve(top), i)] = cur.add(ModElem(f.dst, f.Q, add))
-    w.mor.clean()
+        rep = {(j, name): c for j, ii, h in alpha.entries if ii == i for name, c in h.rep}
+        key = (w.cyl.sleeve(top), i)
+        w.mor.values[key] = vec_add(w.mor.value(*key), rep, f.Q.m, scale=-orientation)
+    w.mor.values = {k: v for k, v in w.mor.values.items() if v}
     return w
 
 
-def act(F, witness, face_cells):
-    """Glue the witness's cylinder onto the face and pull back along the sweep."""
-    face = frozenset(face_cells)
-    if set(witness.base_ball.basis.dims) != face:
-        raise UserInputError("witness base must be the face being acted on")
+def act(F, witness):
+    """Glue the witness's cylinder onto its base, a face of F's ball, and pull back along the sweep."""
+    if witness.mor.Q.m != F.Q.m:
+        raise ModulusMismatchError("the witness and the morphism it acts on need one modulus")
     cyl = witness.cyl
-    for c in face:
+    for c in witness.base_ball.basis.dims:
         for i in range(F.src.size):
-            if not (witness.mor.value(cyl.top(c), i) == F.value(c, i)):
+            if witness.mor.value(cyl.top(c), i) != F.value(c, i):
                 raise UserInputError("witness top face must equal the restriction of F")
     att = AttachedCylinder(F.ball, cyl)  # checks that cyl collapses the face's rim
     values = dict(F.values)
@@ -502,7 +469,7 @@ def act_nat(F, alpha, face_ball, orientation=1):
     eps = orientation_sign(F.ball, face_ball) * orientation
     f_face = restrict_to_ball(F, face_ball)
     w = sigma_homotopy(f_face, alpha, orientation=eps)
-    return act(F, w, set(face_ball.basis.dims))
+    return act(F, w)
 
 
 def obstruction(F, nat, orientation=1):
@@ -514,7 +481,7 @@ def obstruction(F, nat, orientation=1):
     """
     for c in F.ball.boundary:
         for i in range(F.src.size):
-            if not F.value(c, i).is_zero():
+            if F.value(c, i):
                 raise UserInputError("obstruction needs a boundary-trivial morphism")
     dim = F.ball.basis.max_dim
     tops = F.ball.basis.cells_of_dim(dim)
@@ -528,17 +495,14 @@ def obstruction(F, nat, orientation=1):
         raise UserInputError("obstruction needs a cube or a corner-faces ball")
     sums = []
     for i in range(F.src.size):
-        acc = ModElem.zero(F.dst, F.Q)
+        acc = {}
         for sign, top in zip(signs, tops):
-            acc = acc.add(F.value(top, i), scale=sign * orientation)
+            acc = vec_add(acc, F.value(top, i), F.Q.m, scale=sign * orientation)
         sums.append(acc)
     return class_matrix(nat, F.src, F.dst, sums)
 
 
 def class_matrix(nat, src, dst, sums):
     """The natural-system element whose (j, i) entry is the class of the j-part of sums[i]."""
-    cycles = defaultdict(dict)
-    for i, acc in enumerate(sums):
-        for (j, q), c in acc.coeffs.items():
-            cycles[(j, i)][q] = c
+    cycles = {(j, i): part for i, acc in enumerate(sums) for j, part in by_generator(acc).items()}
     return nat.from_cycles(src, dst, cycles)

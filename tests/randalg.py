@@ -188,7 +188,7 @@ def sequence_doc(seq):
         entries = []
         for col in range(f.src.size):
             by_row = {}
-            for (row, name), c in sorted(f.value(cell, col).coeffs.items()):
+            for (row, name), c in sorted(f.value(cell, col).items()):
                 by_row.setdefault(row, []).append({"gen": name, "coeff": c})
             entries.extend({"row": row, "col": col, "value": value} for row, value in sorted(by_row.items()))
         maps.append({"from": f"X{t}", "to": f"X{t - 1}", "entries": entries})

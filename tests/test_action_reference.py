@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from kq.chain_algebra import GradedModule, ModElem, NatSystem
+from kq.chain_algebra import GradedModule, NatSystem, vec_add
 from kq.cubical import ChainBasis, corner_ball, cube_ball, cylinder_ball, opposite_face
 from kq.documents import parse_algebra
 from kq.errors import UserInputError
@@ -114,16 +114,15 @@ def reference_act(F, witness, face_cells):
                 acc = witness.mor.value(cyl.bottom(c), i)
             else:
                 row = phi[c]
-                acc = ModElem.zero(F.dst, F.Q)
+                acc = {}
                 for x, coeff in row.items():
                     if x.startswith("e:"):
-                        acc = acc.add(witness.mor.value("e:" + x[2:], i), scale=coeff)
+                        acc = vec_add(acc, witness.mor.value("e:" + x[2:], i), F.Q.m, scale=coeff)
                     elif x.startswith("0:"):
-                        acc = acc.add(witness.mor.value(cyl.bottom(x[2:]), i), scale=coeff)
+                        acc = vec_add(acc, witness.mor.value(cyl.bottom(x[2:]), i), F.Q.m, scale=coeff)
                     else:
-                        acc = acc.add(F.value(x, i), scale=coeff)
-            flag = flag or acc.tainted
-            if not acc.is_zero():
+                        acc = vec_add(acc, F.value(x, i), F.Q.m, scale=coeff)
+            if acc:
                 values[(c, i)] = acc
     return TrackMorphism(F.ball, F.src, F.dst, F.Q, values, flag)
 
@@ -166,7 +165,6 @@ def _same(got, want):
     assert got.ball is want.ball
     assert (got.src, got.dst, got.Q) == (want.src, want.dst, want.Q)
     assert got.values == want.values
-    assert got.window_tainted == want.window_tainted
     assert got.tainted == want.tainted
 
 
@@ -185,7 +183,7 @@ def test_act_equals_reference_on_every_boundary_face(ball, modulus):
         for face in boundary_faces(ball):
             face_cells = set(face.basis.dims)
             for w in _witnesses(F, face, nat, rng):
-                got = act(F, w, face_cells)
+                got = act(F, w)
                 _same(got, reference_act(F, w, face_cells))
                 assert got.check() == []
                 compared += 1
@@ -200,12 +198,14 @@ def test_act_rejects_what_the_reference_rejects():
     F = random_morphism(ball, L, M, Q, random.Random(5))
     face, other = boundary_faces(ball)[:2]
     w = sigma_homotopy(restrict_to_ball(F, face), NatSystem(Q, 2).zero(L, M))
-    for fn in (act, reference_act):
-        with pytest.raises(UserInputError, match="witness base must be the face"):
-            fn(F, w, set(other.basis.dims))
-        G = random_morphism(ball, L, M, Q, random.Random(6))
-        with pytest.raises(UserInputError, match="witness top face must equal"):
-            fn(G, w, set(face.basis.dims))
+    # act reads the face off the witness, so only the reference can be handed another
+    with pytest.raises(UserInputError, match="witness base must be the face"):
+        reference_act(F, w, set(other.basis.dims))
+    G = random_morphism(ball, L, M, Q, random.Random(6))
+    with pytest.raises(UserInputError, match="witness top face must equal"):
+        reference_act(G, w, set(face.basis.dims))
+    with pytest.raises(UserInputError, match="witness top face must equal"):
+        act(G, w)
 
 
 def test_act_rejects_a_witness_not_relative_to_the_rim():
@@ -221,5 +221,5 @@ def test_act_rejects_a_witness_not_relative_to_the_rim():
     w, _ = homotopic(f_face, f_face, rel=frozenset())
     assert w.cyl.collapse == frozenset()
     with pytest.raises(UserInputError, match="rim"):
-        act(F, w, set(face.basis.dims))
+        act(F, w)
     assert cylinder_ball(face)[1].collapse == face.boundary

@@ -3,10 +3,10 @@ import pytest
 from kq.chain_algebra import (
     ChainAlgebra,
     GradedModule,
-    ModElem,
     NatSystem,
     homology,
     pair_basis,
+    tensor_d,
     truncate,
 )
 from kq.cubical import point_ball
@@ -20,7 +20,7 @@ from track_helpers import enumerate_nat
 def _after(nat, g, f):
     """The class matrix of g after f, two maps over the point, with the tower's product."""
     cell = f.ball.basis.cells()[0]
-    sums = [apply_q_linear(g, cell, f.value(cell, i)) for i in range(f.src.size)]
+    sums = [apply_q_linear(g, cell, f.value(cell, i))[0] for i in range(f.src.size)]
     return class_matrix(nat, f.src, g.dst, sums)
 
 
@@ -156,24 +156,19 @@ def test_torsion_truncation_rejected():
         truncate(q, 1)
 
 
-def test_pair_basis_and_modelem(massey_algebra):
+def test_pair_basis_and_tensor_d(massey_algebra):
     L = GradedModule.of([("l0", 0), ("l1", 1)])
     basis = pair_basis(L, massey_algebra, 2, 1)
     # degree-2 lower-1 slots: l0 x {x,y}, l1 x nothing at r=1
     assert basis == [(0, "x"), (0, "y")]
-    e = ModElem(L, massey_algebra, {(0, "x"): 1})
-    assert e.d().coeffs == {(0, "ab"): 1}
-    f = e.rmul({"c": 1})
-    assert f.coeffs == {(0, "xc"): 1}
-    assert not f.tainted
+    assert tensor_d(massey_algebra, {(0, "x"): 1}) == {(0, "ab"): 1}
+    assert tensor_d(massey_algebra, {(0, "x"): 1, (1, "y"): 1}) == {(0, "ab"): 1, (1, "bc"): 1}
+    assert massey_algebra.elem_mul({"x": 1}, {"c": 1}) == ({"xc": 1}, False)
 
 
-def test_modelem_taint_on_window_escape(massey_algebra):
-    L = GradedModule.of([("l0", 0)])
-    e = ModElem(L, massey_algebra, {(0, "abc"): 1})
-    f = e.rmul({"ab": 1})  # degree 5 > r_max = 4
-    assert f.is_zero()
-    assert f.tainted
+def test_elem_mul_flags_window_escape(massey_algebra):
+    # degree 5 > r_max = 4: the product is cut to zero and flagged
+    assert massey_algebra.elem_mul({"abc": 1}, {"ab": 1}) == ({}, True)
 
 
 def test_nat_system_actions(massey_algebra):

@@ -538,6 +538,34 @@ def test_input_that_is_not_a_readable_text_file_is_user_error(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_each_input_file_is_opened_once(monkeypatch, capsys):
+    # the inputs hash and the parse come from one read of the same bytes
+    opened = []
+    real_open = open
+
+    def spy(path, *args, **kwargs):
+        opened.append(str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    algebra = str(FIXTURES / "massey_algebra.json")
+    sequence = str(FIXTURES / "massey_sequence_abc.json")
+    code, out, _ = run_cli(capsys, "toda", "--algebra", algebra, "--sequence", sequence, "--n", "1")
+    assert code == 0
+    assert sorted(opened) == sorted([algebra, sequence])
+    assert set(json.loads(out)["inputs"]) == {"algebra_sha256", "sequence_sha256"}
+
+
+def test_crlf_syntax_error_reports_the_text_mode_position(capsys, tmp_path):
+    # newlines are translated before parsing, so CRLF line ends do not shift the position
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{\r\n  "modulus": 2,\r\n  "truncation": 1 2\r\n}\r\n')
+    code, out, _ = run_cli(capsys, "validate", "--algebra", str(path))
+    _assert_user_error(
+        code, out, "algebra file is not valid JSON: Expecting ',' delimiter: line 3 column 19 (char 36)"
+    )
+
+
 def test_engine_budget_env_not_an_integer_rejected(monkeypatch, capsys):
     monkeypatch.setenv("ENGINE_BUDGET", "abc")
     code, out, _ = run_cli(capsys, *_oracle_args())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_massey_algebra, make_z4_algebra
-from kq.chain_algebra import GradedModule, ModElem
+from kq.chain_algebra import GradedModule
+from kq.cubical import cube_ball, facet_ball
 from kq.errors import ModulusMismatchError, UserInputError
 from kq.exact_linalg import (
     AffineSolutionSet,
@@ -17,6 +18,7 @@ from kq.exact_linalg import (
     solve_dense,
     subquotient_presentation,
 )
+from kq.track import act, constant_homotopy, homotopic, identity_morphism, restrict_to_ball
 
 
 def brute_solutions(A, b, m, cols=None):
@@ -52,11 +54,15 @@ def test_prime_power():
 
 
 def test_modulus_mismatch_rejected():
+    # homotopic and act are the entry points that add two morphisms' values
     module = GradedModule.of([("g", 0)])
-    a = ModElem.generator(module, make_massey_algebra(), 0)
-    b = ModElem.generator(module, make_z4_algebra(), 0)
+    ball = cube_ball(1)
+    a = identity_morphism(ball, module, make_massey_algebra())
+    b = identity_morphism(ball, module, make_z4_algebra())
     with pytest.raises(ModulusMismatchError):
-        a.add(b)
+        homotopic(a, b)
+    with pytest.raises(ModulusMismatchError):
+        act(b, constant_homotopy(restrict_to_ball(a, facet_ball(1, 0, 0))))
 
 
 def matmul(A, B, m):

@@ -25,7 +25,7 @@ def _pt_entries(f):
     cell = f.ball.basis.cells()[0]
     out = {}
     for i in range(f.src.size):
-        for (j, q), c in f.value(cell, i).coeffs.items():
+        for (j, q), c in f.value(cell, i).items():
             out.setdefault((j, i), {})[q] = c
     return out
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kq.chain_algebra import GradedModule, ModElem, NatSystem, homology
+from kq.chain_algebra import GradedModule, NatSystem, homology
 from kq.cubical import (
     corner_ball,
     cube_ball,
@@ -78,7 +78,7 @@ def test_point_composition_multiplies(qm):
     fa = mult_map(qm, L1, L0, "a")
     fb = mult_map(qm, L2, L1, "b")
     ab = compose(fa, fb)
-    assert ab.value("", 0).coeffs == {(0, "ab"): 1}
+    assert ab.value("", 0) == {(0, "ab"): 1}
     assert ab.check() == []
 
 
@@ -148,7 +148,7 @@ def test_glue_zero_extension(qm):
     f = random_morphism(ball, L, M, qm, rng)
     # restrict to one edge, force zero on the other
     piece = restrict(f, edge0)
-    if any(not piece.value(c, 0).is_zero() for c in ("00",)):
+    if any(piece.value(c, 0) for c in ("00",)):
         # build a piece that vanishes on the shared vertex so zero glues
         piece = restrict(zero_morphism(ball, L, M, qm), edge0)
     zpiece = restrict(zero_morphism(ball, L, M, qm), edge1)
@@ -176,7 +176,7 @@ def test_tensor_with_point_factor_is_counit_composition(qm):
     fb = mult_map(qm, L2, L1, "b")
     t = tensor(fa, fb)
     assert t.ball.basis.cells() == [""]
-    assert t.value("", 0).coeffs == {(0, "ab"): 1}
+    assert t.value("", 0) == {(0, "ab"): 1}
 
 
 def test_tensor_zero_and_boundary_compat(qm):
@@ -241,7 +241,7 @@ def test_homotopic_over_point_iff_h0_classes_agree(qm):
     assert w is not None
     assert w.mor.check() == []
     # the nullhomotopy value is forced to be x
-    assert w.mor.value(w.cyl.sleeve(""), 0).coeffs == {(0, "x"): 1}
+    assert w.mor.value(w.cyl.sleeve(""), 0) == {(0, "x"): 1}
     # multiplication by a is not nullhomotopic
     f_a = pt_morphism(pt, qm, L1, L0, {(0, 0): {"a": 1}})
     w, cert = homotopic(f_a, zero_morphism(pt, L1, L0, qm))
@@ -264,6 +264,20 @@ def test_homotopic_rel_precondition(qm):
     a_mor = lift_from_point(ball, pt_morphism(point_ball(), qm, L, M, {(0, 0): {"a": 1}}))
     with pytest.raises(UserInputError):
         homotopic(a_mor, zero_morphism(ball, L, M, qm))
+
+
+def test_homotopy_between_window_cut_ends_is_tainted(massey_algebra):
+    # ab * abc has upper degree 5 > r_max = 4: the composite is cut to zero, and
+    # only its taint records that; a homotopy between such ends inherits it
+    pt = point_ball()
+    X5, X3, X0 = (GradedModule.of([(name, r)]) for name, r in (("x5", 5), ("x3", 3), ("x0", 0)))
+    f = pt_morphism(pt, massey_algebra, X5, X3, {(0, 0): {"ab": 1}})
+    g = pt_morphism(pt, massey_algebra, X3, X0, {(0, 0): {"abc": 1}})
+    h = compose(g, f)
+    assert h.tainted and h.is_zero()
+    w, res = homotopic(h, h)
+    assert w.mor.tainted
+    assert res.morphism.tainted
 
 
 def test_extend_zero(qm):
@@ -326,7 +340,7 @@ def test_action_constant_homotopy_is_identity(qm):
     from kq.track import act
 
     w = constant_homotopy(f_face)
-    acted = act(F, w, set(face.basis.dims))
+    acted = act(F, w)
     assert acted.equal(F)
 
 
@@ -341,7 +355,7 @@ def test_action_transitive_effective_count(qm):
     nat = NatSystem(qm, 1)
     prescribed = {}
     for c in ("0", "1"):
-        prescribed[(c, 0)] = ModElem.zero(M, qm)
+        prescribed[(c, 0)] = {}
     res, cert = solve_for_values(ball, qm, L, M, prescribed, ["*"])
     assert res is not None
     n_fillers = choice_space_size(res)
@@ -470,7 +484,7 @@ def _z4_solves():
     L = GradedModule.of([("u", 2), ("v", 1)])
     M = GradedModule.of([("w", 0)])
     ball = cube_ball(1)
-    given = {("0", 0): ModElem(M, q, {(0, "b"): 1}), ("0", 1): ModElem(M, q, {(0, "a"): 1})}
+    given = {("0", 0): {(0, "b"): 1}, ("0", 1): {(0, "a"): 1}}
     return [
         (ball, q, L, M, {}, list(ball.basis.cells())),
         (ball, q, L, M, given, ["1", "*"]),

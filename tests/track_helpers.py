@@ -10,7 +10,7 @@ independent constructions and are not part of it.
 """
 
 from kq import track
-from kq.chain_algebra import HClass, ModElem
+from kq.chain_algebra import HClass, vec_add
 from kq.cubical import cylinder_ball
 from kq.errors import UserInputError
 from kq.exact_linalg import prime_power, solve_dense
@@ -33,7 +33,7 @@ def random_morphism(ball, src, dst, Q, rng, boundary_zero=False):
     if boundary_zero:
         for c in ball.boundary:
             for i in range(src.size):
-                prescribed[(c, i)] = ModElem.zero(dst, Q)
+                prescribed[(c, i)] = {}
         unknown = [c for c in unknown if c not in ball.boundary]
     res, cert = track.solve_for_values(ball, Q, src, dst, prescribed, unknown)
     if res is None:
@@ -112,16 +112,16 @@ def paste(w1, w2):
         for i in range(w1.mor.src.size):
             bot = w1.mor.value(w1.cyl.bottom(c), i)
             tp = w2.mor.value(w2.cyl.top(c), i)
-            if not bot.is_zero():
-                values[(w1.cyl.bottom(c), i)] = bot.copy()
-            if w1.cyl.bottom(c) != w1.cyl.top(c) and not tp.is_zero():
-                values[(w1.cyl.top(c), i)] = tp.copy()
+            if bot:
+                values[(w1.cyl.bottom(c), i)] = dict(bot)
+            if w1.cyl.bottom(c) != w1.cyl.top(c) and tp:
+                values[(w1.cyl.top(c), i)] = dict(tp)
             s = w1.cyl.sleeve(c)
             if s is not None:
-                sv = w1.mor.value(s, i).add(w2.mor.value(s, i))
-                if not sv.is_zero():
+                sv = vec_add(w1.mor.value(s, i), w2.mor.value(s, i), w1.mor.Q.m)
+                if sv:
                     values[(s, i)] = sv
-    flag = w1.mor.window_tainted or w2.mor.window_tainted
+    flag = w1.mor.tainted or w2.mor.tainted
     mor = track.TrackMorphism(w1.mor.ball, w1.mor.src, w1.mor.dst, w1.mor.Q, values, flag)
     return track.HomotopyWitness(mor, w1.cyl, w1.base_ball)
 
@@ -139,7 +139,7 @@ def h0_matrix(f, h0):
     for i in range(f.src.size):
         v = f.value(cell, i)
         for j in range(f.dst.size):
-            vec = {q: c for (jj, q), c in v.coeffs.items() if jj == j}
+            vec = {q: c for (jj, q), c in v.items() if jj == j}
             r = f.src.degree(i) - f.dst.degree(j)
             if 0 <= r <= f.Q.r_max:
                 out[(j, i)] = h0.class_of(vec, r)
