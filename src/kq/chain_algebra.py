@@ -280,17 +280,9 @@ class Homology:
         self.k = k
         self._pres = {}
         for r in range(Q.r_max + 1):
-            basis = Q.basis_at(r, k)
-            rank = len(basis)
-            if rank == 0:
-                self._pres[r] = None
-                continue
-            below = Q.basis_at(r, k - 1)
-            if not below:
-                cycles = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-            else:
-                mat = [list(col) for col in zip(*d_vectors(Q, r, k - 1))]
-                cycles = list(solve_dense(mat, [0] * len(below), Q.m).kernel_basis)
+            rank = len(Q.basis_at(r, k))
+            d_down = [list(col) for col in zip(*d_vectors(Q, r, k - 1))]  # one row per element below
+            cycles = solve_dense(d_down, [0] * len(d_down), Q.m, cols=rank).kernel_basis
             bdries = [tuple(vec) for vec in d_vectors(Q, r, k) if any(vec)]
             self._pres[r] = subquotient_presentation(cycles, bdries, rank, Q.m)
 
@@ -298,8 +290,7 @@ class Homology:
         return self._pres.get(r)
 
     def size(self, r):
-        pres = self.presentation(r)
-        return 1 if pres is None else pres.size
+        return self.presentation(r).size
 
     def class_of(self, vec, r):
         """Class of a cycle given as a sparse vector over the algebra basis."""
@@ -317,14 +308,9 @@ class Homology:
         return HClass(self.k, r, coords, rep)
 
     def class_from_coords(self, r, coords):
-        pres = self.presentation(r)
-        if pres is None or pres.rank == 0:
-            return HClass(self.k, r, (), ())
         basis = self.Q.basis_at(r, self.k)
-        canon = pres.element(coords)
-        coords = pres.coords(canon)
-        rep = tuple(sorted((basis[i], c) for i, c in enumerate(canon) if c))
-        return HClass(self.k, r, coords, rep)
+        canon = self.presentation(r).element(coords)
+        return self.class_of({basis[i]: c for i, c in enumerate(canon) if c}, r)
 
 
 def homology(Q, k):
@@ -557,20 +543,14 @@ class NatSystem:
             entries[(j, i)] = self.hom.class_of(vec, r)
         return NatElem.build(self.k, src, dst, entries)
 
-    def add(self, a, b, scale=1):
-        out = {}
-        for j, i, h in a.entries:
-            out[(j, i)] = dict(h.rep)
+    def add(self, a, b):
+        out = {(j, i): dict(h.rep) for j, i, h in a.entries}
         for j, i, h in b.entries:
-            cur = out.get((j, i), {})
-            out[(j, i)] = vec_add(cur, dict(h.rep), scale=scale, m=self.Q.m)
+            out[(j, i)] = vec_add(out.get((j, i), {}), dict(h.rep), self.Q.m)
         return self.from_cycles(a.src, a.dst, out)
 
     def neg(self, a):
-        return self.scale(a, -1)
-
-    def scale(self, a, c):
-        out = {(j, i): vec_scale(dict(h.rep), c, self.Q.m) for j, i, h in a.entries}
+        out = {(j, i): vec_scale(dict(h.rep), -1, self.Q.m) for j, i, h in a.entries}
         return self.from_cycles(a.src, a.dst, out)
 
     def size(self, src, dst):

@@ -12,17 +12,20 @@ cubical diagonal (front face tensor back face with shuffle signs), which is
 coassociative, counital, and a chain map.  The diagonal of a cell is read
 off its word on demand; no table of diagonals is built.
 
+A ball is a based complex together with the boundary its cells determine:
+the closure of the codimension-one cells that lie in exactly one top cell.
 The standard balls (cube_ball, corner_ball) are built once per dimension and
 shared: a ball and its chain basis are immutable values, and nothing may
-change their cells, boundary rows or boundary set after construction.
+change their cells or boundary rows after construction.
 
 Chain-level cylinders (with a chosen collapsed subcomplex) and a face's
 cylinder glued onto a ball are built here as generic based chain complexes,
 so that homotopies and actions reduce to plain linear algebra.
 """
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product as iproduct
 
 from .errors import InternalInvariantError, UserInputError
@@ -133,12 +136,6 @@ def cube_complex(n):
         return CubicalComplex(0, frozenset({""}))
     words = ("".join(w) for w in iproduct("01*", repeat=n))
     return CubicalComplex(n, frozenset(words))
-
-
-def cube_boundary_complex(n):
-    """All proper faces of the n-cube."""
-    full = cube_complex(n)
-    return CubicalComplex(n, frozenset(w for w in full.cells if any(ch != FREE for ch in w)))
 
 
 def facet_complex(n, pos, digit):
@@ -258,56 +255,51 @@ def complex_basis(complex_, label=""):
 
 @dataclass(frozen=True)
 class Ball:
-    """A based chain complex together with its designated boundary cells.
+    """A based chain complex whose boundary is derived from its cells.
 
     Like its basis, a ball is an immutable value; cube_ball and corner_ball
     return one shared instance per argument list.
     """
 
     basis: ChainBasis
-    boundary: frozenset
     label: str = ""
+
+    @cached_property
+    def boundary(self):
+        """The closure of the codimension-one cells that lie in exactly one top cell."""
+        basis = self.basis
+        faces = Counter(x for top in basis.cells_of_dim(basis.max_dim) for x in basis.boundary_of(top))
+        out, stack = set(), [x for x, count in faces.items() if count == 1]
+        while stack:
+            c = stack.pop()
+            if c not in out:
+                out.add(c)
+                stack.extend(basis.boundary_of(c))
+        return frozenset(out)
 
 
 def point_ball():
-    return Ball(complex_basis(cube_complex(0), "pt"), frozenset(), "pt")
+    return Ball(complex_basis(cube_complex(0), "pt"), "pt")
 
 
 @cache
 def cube_ball(n):
-    bd = cube_boundary_complex(n).cells
-    return Ball(complex_basis(cube_complex(n), f"I^{n}"), frozenset(bd), f"I^{n}")
+    return Ball(complex_basis(cube_complex(n), f"I^{n}"), f"I^{n}")
 
 
 @cache
 def corner_ball(n, digit=0):
     """The (n-1)-ball formed by the facets of the n-cube through a corner."""
-    cc = corner_faces_complex(n, digit)
-    other = corner_faces_complex(n, 1 - digit)
-    bd = cc.intersection(other).cells
-    return Ball(complex_basis(cc, f"corner({n},{digit})"), frozenset(bd), f"corner({n},{digit})")
+    return Ball(complex_basis(corner_faces_complex(n, digit), f"corner({n},{digit})"), f"corner({n},{digit})")
 
 
 def facet_ball(n, pos, digit):
-    cc = facet_complex(n, pos, digit)
-    bd = frozenset(
-        w for w in cc.cells if any(i != pos and w[i] != FREE for i in range(n))
-    )
-    return Ball(complex_basis(cc, f"facet({n},{pos},{digit})"), bd, f"facet({n},{pos},{digit})")
+    return Ball(complex_basis(facet_complex(n, pos, digit), f"facet({n},{pos},{digit})"), f"facet({n},{pos},{digit})")
 
 
-def opposite_face(ball, face_cells):
-    """Closure of the boundary cells not in the given face."""
-    rest = set(ball.boundary) - set(face_cells)
-    out = set()
-    stack = list(rest)
-    while stack:
-        c = stack.pop()
-        if c in out:
-            continue
-        out.add(c)
-        stack.extend(ball.basis.boundary_of(c))
-    return frozenset(out)
+def face_ball_of(ball, cells, label=""):
+    """The face spanned by cells as a ball, whose derived boundary is the face's rim."""
+    return Ball(ball.basis.subbasis(cells, label=label), label or "face")
 
 
 def orientation_sign(ball, facet):
@@ -419,19 +411,18 @@ def cylinder_ball(ball, rel=None):
     """J(ball) relative to rel (defaults to the ball's boundary)."""
     collapse = ball.boundary if rel is None else frozenset(rel)
     cyl = CylinderComplex(ball.basis, collapse)
-    bd = frozenset(c for c in cyl.basis.cells() if not c.startswith("e:"))
-    return Ball(cyl.basis, bd, "J(" + ball.label + ")"), cyl
+    return Ball(cyl.basis, "J(" + ball.label + ")"), cyl
 
 
 class AttachedCylinder:
     """A ball with a face's cylinder glued onto that face.
 
     cyl is a cylinder on a face of the ball (a subcomplex of its boundary).
-    It must collapse exactly the face's rim, the cells the face shares with
-    the rest of the boundary: that is what makes action_map a chain map.  The
-    glued complex identifies the cylinder's top end and its collapsed cells
-    with the face in the ball; its bottom end and its sleeves keep their
-    cylinder names, and no other cell is added.
+    It must collapse exactly the face's rim, the boundary of the face as a
+    ball: that is what makes action_map a chain map.  The glued complex
+    identifies the cylinder's top end and its collapsed cells with the face
+    in the ball; its bottom end and its sleeves keep their cylinder names,
+    and no other cell is added.
     """
 
     def __init__(self, ball, cyl):
@@ -440,7 +431,7 @@ class AttachedCylinder:
             raise UserInputError("face must lie in the ball boundary")
         if not ball.basis.is_closed(face):
             raise UserInputError("face must be a subcomplex")
-        if cyl.collapse != face & opposite_face(ball, face):
+        if cyl.collapse != Ball(cyl.base).boundary:
             raise UserInputError("the cylinder must collapse exactly the rim of the face")
         self.ball = ball
         self.cyl = cyl

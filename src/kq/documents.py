@@ -168,7 +168,7 @@ def presentation_to_dict(hom, r_max):
     out = []
     for r in range(r_max + 1):
         pres = hom.presentation(r)
-        if pres is None or pres.rank == 0:
+        if pres.rank == 0:
             continue
         basis = hom.Q.basis_at(r, hom.k)
         out.append(

@@ -201,11 +201,16 @@ class AffineSolutionSet:
 
     def member(self, coeffs):
         """particular + sum coeffs[i] * kernel_basis[i]."""
-        out = list(self.particular)
-        for c, row in zip(coeffs, self.kernel_basis):
-            for t in range(len(out)):
-                out[t] = (out[t] + c * row[t]) % self.m
-        return tuple(out)
+        return combine(self.particular, coeffs, self.kernel_basis, self.m)
+
+
+def combine(start, coeffs, vectors, m):
+    """start + sum coeffs[i] * vectors[i] over Z/m, as a tuple."""
+    out = list(start)
+    for c, row in zip(coeffs, vectors):
+        for t in range(len(out)):
+            out[t] = (out[t] + c * row[t]) % m
+    return tuple(out)
 
 
 def solve_dense(A, b, m, cols=None):
@@ -292,11 +297,7 @@ class Presentation:
         return tuple(out)
 
     def element(self, coords):
-        out = [0] * self.ambient_rank
-        for c, rep in zip(coords, self.reps):
-            for t in range(self.ambient_rank):
-                out[t] = (out[t] + c * rep[t]) % self.m
-        return tuple(out)
+        return combine([0] * self.ambient_rank, coords, self.reps, self.m)
 
 
 def quotient_presentation(ambient_rank, relation_vectors, m):
@@ -339,18 +340,5 @@ def subquotient_presentation(sub_gens, relation_vectors, ambient_rank, m):
             raise UserInputError("relation vector outside the submodule span")
         inner_rels.append(list(sol.particular))
     inner = quotient_presentation(s, inner_rels, m)
-    reps = []
-    for r in inner.reps:
-        amb = [0] * ambient_rank
-        for c, g in zip(r, subs):
-            for t in range(ambient_rank):
-                amb[t] = (amb[t] + c * g[t]) % m
-        reps.append(tuple(amb))
-    return Presentation(
-        m,
-        ambient_rank,
-        inner.order_exps,
-        tuple(reps),
-        inner._proj,
-        _embed=tuple(subs),
-    )
+    reps = tuple(combine([0] * ambient_rank, r, subs, m) for r in inner.reps)
+    return Presentation(m, ambient_rank, inner.order_exps, reps, inner._proj, _embed=tuple(subs))

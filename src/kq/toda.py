@@ -111,7 +111,7 @@ class _Tower:
         """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum."""
         src, dst, sums, tainted = self.corner_sum(i, k)
         top = "*" * k
-        ball = Ball(ChainBasis({top: k}, {}), frozenset(), top)
+        ball = Ball(ChainBasis({top: k}, {}), top)
         rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
         return solve_for_values(ball, self.data[(i, 0)].Q, src, dst, {}, [top], rhs=rhs, tainted=tainted)
 
@@ -162,9 +162,11 @@ def _every_choice(budget):
 
 
 def nat_system(Q, n, nat=None):
-    """nat, or the level-n natural system of Q, once Q is known to be n-truncated."""
+    """The level-n natural system of Q, nat if it is that one, once Q is known to be n-truncated."""
     if Q.n != n:
         raise UserInputError(f"the algebra is {Q.n}-truncated but order {n} was requested")
+    if nat is not None and (nat.Q is not Q or nat.k != n):
+        raise UserInputError(f"the natural system must be the level-{n} system of this algebra")
     return nat or NatSystem(Q, n)
 
 
@@ -218,7 +220,7 @@ def triple_indeterminacy(Q, seq, nat=None):
         raise UserInputError("triple indeterminacy needs exactly 3 maps")
     if Q.n != 1:
         raise UserInputError("triple indeterminacy is defined for 1-truncated algebras")
-    nat = nat or NatSystem(Q, 1)
+    nat = nat_system(Q, 1, nat)
     X0, X1, X2, X3 = seq.modules
     first, _, last = seq.maps
     pt = first.ball

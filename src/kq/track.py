@@ -30,7 +30,7 @@ from .cubical import (
     CylinderComplex,
     complex_basis,
     cylinder_ball,
-    opposite_face,
+    face_ball_of,  # re-exported for the callers of act_nat, which take a face ball
     orientation_sign,
 )
 from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
@@ -141,7 +141,7 @@ def compose(g, f):
 def restrict(f, cells):
     """Restriction to a subcomplex of the base."""
     label = f.ball.label + "|sub"
-    return restrict_to_ball(f, Ball(f.ball.basis.subbasis(cells, label=label), frozenset(), label))
+    return restrict_to_ball(f, Ball(f.ball.basis.subbasis(cells, label=label), label))
 
 
 def restrict_to_ball(f, ball):
@@ -197,11 +197,9 @@ def product_ball(b1, b2):
     for b in (b1, b2):
         if any(ch not in "01*" for c in b.basis.dims for ch in c):
             raise UserInputError("tensor products need cubical bases")
-    pairs = [(x, y) for x in b1.basis.dims for y in b2.basis.dims]
-    words = frozenset(x + y for x, y in pairs)
-    bd = frozenset(x + y for x, y in pairs if x in b1.boundary or y in b2.boundary)
+    words = frozenset(x + y for x in b1.basis.dims for y in b2.basis.dims)
     prod = CubicalComplex(max(map(len, words), default=0), words)
-    return Ball(complex_basis(prod), bd, f"{b1.label}x{b2.label}")
+    return Ball(complex_basis(prod), f"{b1.label}x{b2.label}")
 
 
 def tensor(g, f):
@@ -234,7 +232,7 @@ def inject_cubical(f, position, digit, ambient_ball):
         values[(c[:position] + d + c[position:], i)] = v
     for c in f.ball.basis.cells():
         cells.append(c[:position] + d + c[position:])
-    sub = Ball(ambient_ball.basis.subbasis(cells), frozenset(), f"{f.ball.label}@{position}:{digit}")
+    sub = Ball(ambient_ball.basis.subbasis(cells), f"{f.ball.label}@{position}:{digit}")
     return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.tainted)
 
 
@@ -421,12 +419,6 @@ def homotopic(f, g, rel=None):
 # actions and obstructions
 
 
-def face_ball_of(ball, cells, label=""):
-    """The face as a ball: boundary = cells shared with the rest of the boundary."""
-    rim = frozenset(cells) & opposite_face(ball, cells)
-    return Ball(ball.basis.subbasis(cells, label=label), rim, label or "face")
-
-
 def sigma_homotopy(f, alpha, orientation=1):
     """The boundary-trivial self-homotopy of f over J(face) classified by alpha.
 
@@ -460,7 +452,7 @@ def act(F, witness):
     att = AttachedCylinder(F.ball, cyl)  # checks that cyl collapses the face's rim
     values = dict(F.values)
     values.update((k, v) for k, v in witness.mor.values.items() if k[0][:2] in ("-:", "e:"))
-    glued = TrackMorphism(Ball(att.basis, frozenset()), F.src, F.dst, F.Q, values, F.tainted or witness.mor.tainted)
+    glued = TrackMorphism(Ball(att.basis), F.src, F.dst, F.Q, values, F.tainted or witness.mor.tainted)
     return pullback(glued, att.action_map(), F.ball)
 
 

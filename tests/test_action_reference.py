@@ -16,7 +16,7 @@ import random
 import pytest
 
 from kq.chain_algebra import GradedModule, NatSystem, vec_add
-from kq.cubical import ChainBasis, corner_ball, cube_ball, cylinder_ball, opposite_face
+from kq.cubical import ChainBasis, corner_ball, cube_ball, cylinder_ball
 from kq.documents import parse_algebra
 from kq.errors import UserInputError
 from kq.track import (
@@ -30,7 +30,14 @@ from kq.track import (
 )
 
 from test_closed_form import universal
-from track_helpers import boundary_faces, enumerate_nat, random_choices, random_morphism, self_homotopy_space
+from track_helpers import (
+    boundary_faces,
+    enumerate_nat,
+    opposite_face,
+    random_choices,
+    random_morphism,
+    self_homotopy_space,
+)
 
 BALLS = [cube_ball(1), cube_ball(2), cube_ball(3), corner_ball(2), corner_ball(3)]
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kq.chain_algebra import (
@@ -10,10 +12,12 @@ from kq.chain_algebra import (
     truncate,
 )
 from kq.cubical import point_ball
+from kq.documents import algebra_to_dict, parse_algebra
 from kq.errors import UserInputError
 from kq.track import apply_q_linear, class_matrix, compose, pt_morphism
 
 from conftest import make_massey_algebra
+from test_closed_form import universal
 from track_helpers import enumerate_nat
 
 
@@ -113,8 +117,7 @@ def test_truncate_massey_to_homology(massey_algebra):
     assert q0.validate() == []
     h0 = homology(massey_algebra, 0)
     for r in range(massey_algebra.r_max + 1):
-        pres = h0.presentation(r)
-        assert len(q0.basis_at(r, 0)) == (0 if pres is None else pres.rank)
+        assert len(q0.basis_at(r, 0)) == h0.presentation(r).rank
     # multiplication agrees with the H0 algebra: [a][b] = [ab] = 0
     prod, _ = q0.elem_mul({"a": 1}, {"b": 1})
     assert prod == {}
@@ -144,6 +147,37 @@ def test_truncation_homology_stable_below_top():
         h_trunc = homology(q1, k)
         for r in range(q.r_max + 1):
             assert h_full.size(r) == h_trunc.size(r)
+
+
+def test_truncate_keeps_the_products_below_the_top_level():
+    # a*x = ax is cut with x; the products of level-0 elements survive
+    elements = [("1", 0, 0), ("a", 1, 0), ("b", 1, 0), ("ab", 2, 0), ("a2", 2, 0), ("x", 2, 1), ("ax", 3, 1)]
+    mul = {("a", "b"): {"ab": 1}, ("a", "a"): {"a2": 1}, ("a", "x"): {"ax": 1}}
+    q = ChainAlgebra(2, 1, 3, elements, "1", {}, mul)
+    assert q.validate() == []
+    assert algebra_to_dict(truncate(q, 0))["products"] == [
+        {"left": "a", "right": "a", "to": [{"gen": "a2", "coeff": 1}]},
+        {"left": "a", "right": "b", "to": [{"gen": "ab", "coeff": 1}]},
+    ]
+
+
+def _truncation_or_error(q, level):
+    try:
+        return algebra_to_dict(truncate(q, level))
+    except UserInputError as exc:
+        return str(exc), exc.detail
+
+
+@pytest.mark.parametrize("free_cycle", [False, True])
+@pytest.mark.parametrize("modulus", [2, 3, 4, 9])
+@pytest.mark.parametrize("order", [2, 3])
+def test_truncate_multiplies_every_pair_that_can_be_nonzero(order, modulus, free_cycle, monkeypatch):
+    # truncate multiplies only the pairs partners() admits; with every name a
+    # partner of every name it multiplies all pairs, and must find nothing more
+    q, _ = parse_algebra(universal.algebra_doc(order, modulus, random.Random(10 * order + modulus), free_cycle))
+    pruned = [_truncation_or_error(q, level) for level in range(order)]
+    monkeypatch.setattr(ChainAlgebra, "partners", lambda self: {x: set(self.names) for x in self.names})
+    assert [_truncation_or_error(q, level) for level in range(order)] == pruned
 
 
 def test_torsion_truncation_rejected():

@@ -12,12 +12,12 @@ from kq.cubical import (
     corner_ball,
     corner_faces_complex,
     cube_ball,
-    cube_boundary_complex,
     cube_complex,
+    cylinder_ball,
+    face_ball_of,
     facet_ball,
     facet_complex,
     is_regular_sequence,
-    opposite_face,
     orientation_sign,
     point_ball,
     serre_diagonal_word,
@@ -25,7 +25,15 @@ from kq.cubical import (
 from kq.exact_linalg import solve_dense
 from kq.track import product_ball
 
-from track_helpers import boundary_faces, include_bottom, include_top, is_chain_map, reverse
+from track_helpers import (
+    boundary_faces,
+    cube_boundary_complex,
+    include_bottom,
+    include_top,
+    is_chain_map,
+    opposite_face,
+    reverse,
+)
 
 
 def chain_add(acc, chain, scale=1):
@@ -214,6 +222,41 @@ def test_opposite_face():
     assert op == frozenset({"1*", "*0", "*1", "00", "01", "10", "11"})
     # the face and its opposite meet exactly in the face's rim
     assert op & face == frozenset({"00", "01"})
+
+
+def _balls_and_faces():
+    """The standard balls and faces, each with the formula its boundary was once built from."""
+    balls = [(cube_ball(n), cube_boundary_complex(n).cells) for n in range(5)]
+    for n in range(1, 5):
+        for digit in (0, 1):
+            other = corner_faces_complex(n, 1 - digit)
+            balls.append((corner_ball(n, digit), corner_faces_complex(n, digit).intersection(other).cells))
+            for pos in range(n):
+                cells = facet_complex(n, pos, digit).cells
+                balls.append((facet_ball(n, pos, digit), {w for w in cells if any(w[i] != "*" for i in range(n) if i != pos)}))
+    # a face's rim: the cells it shares with the closure of the rest of the boundary
+    square = cube_ball(2)
+    halves = [{"1*", "*1", "10", "01", "11"}, {"0*", "*0", "00", "01", "10"}]
+    cut = [(square, face_ball_of(square, cells)) for cells in halves]
+    cut += [(b, face) for b in map(cube_ball, range(1, 5)) for face in boundary_faces(b)]
+    cut += [(b, face) for n in range(2, 5) for b in (corner_ball(n, 0), corner_ball(n, 1)) for face in boundary_faces(b)]
+    faces = [(face, frozenset(face.basis.dims) & opposite_face(b, face.basis.dims)) for b, face in cut]
+    return balls, faces
+
+
+def test_derived_boundary_matches_the_construction_formulas():
+    balls, faces = _balls_and_faces()
+    assert len(faces) == 62
+    for ball, formula in balls + faces:
+        assert ball.boundary == frozenset(formula), ball.label
+    for face, _ in faces:  # the cylinder rel the face's boundary: every cell but the sleeves
+        jball, cyl = cylinder_ball(face)
+        assert jball.boundary == {c for c in cyl.basis.dims if not c.startswith("e:")}, jball.label
+    for ball, _ in balls + faces:
+        for other in (cube_ball(1), cube_ball(2), corner_ball(2, 0)):
+            pairs = [(x, y) for x in ball.basis.dims for y in other.basis.dims]
+            formula = {x + y for x, y in pairs if x in ball.boundary or y in other.boundary}
+            assert product_ball(ball, other).boundary == formula, (ball.label, other.label)
 
 
 def test_cylinder_of_interval():

@@ -59,6 +59,16 @@ def _write(path, doc):
     return str(path)
 
 
+def point_sequence(generators, letters):
+    """The sequence document of one-generator modules X0, X1, ... and the maps X_t -> X_{t-1} by letters[t-1]."""
+    modules = [{"name": f"X{t}", "generators": [{"name": name, "r": r}]} for t, (name, r) in enumerate(generators)]
+    maps = [
+        {"from": f"X{t}", "to": f"X{t - 1}", "entries": [{"row": 0, "col": 0, "value": [{"gen": x, "coeff": 1}]}]}
+        for t, x in enumerate(letters, 1)
+    ]
+    return {"modules": modules, "maps": maps}
+
+
 def cases(work):
     """Write the generated documents into work; returns {label: argv}."""
     out = {}
@@ -71,6 +81,13 @@ def cases(work):
     for k in (0, 1):
         out[f"homology --k {k} massey"] = ["homology", "--algebra", massey, "--k", str(k)]
     out["truncate --n 0 massey"] = ["truncate", "--algebra", massey, "--n", "0"]
+    # the window a, b of the Massey sequence extends: chain-complex is defined
+    ab = _write(work / "massey-ab.json", point_sequence([("w", 0), ("z1", 1), ("z2", 2)], ["a", "b"]))
+    out["chain-complex massey-ab"] = ["chain-complex", "--algebra", massey, "--sequence", ab, "--n", "1"]
+    # a, 1, b: the composite a*1 = a is not nullhomotopic, so no bracket and no window
+    a1b = _write(work / "massey-a1b.json", point_sequence([("w", 0), ("s", 1), ("t", 1), ("r", 2)], ["a", "1", "b"]))
+    for command in ("toda", "adams-d"):
+        out[f"{command} massey-a1b"] = [command, "--algebra", massey, "--sequence", a1b, "--n", "1"]
 
     for order in (1, 2, 3):
         for modulus in (2, 3, 4, 9):
@@ -85,6 +102,8 @@ def cases(work):
                     commands = ["toda", "adams-d"]
                 for command in commands:
                     out[f"{command} {stem}"] = [command, "--algebra", alg, "--sequence", seq, "--n", str(order)]
+                for level in range(1, order):  # below the top level, so products are projected
+                    out[f"truncate --n {level} {stem}"] = ["truncate", "--algebra", alg, "--n", str(level)]
 
     # the order-1 bracket on an algebra whose window cuts the bracket's products
     rng = random.Random(3)

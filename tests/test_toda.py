@@ -3,7 +3,7 @@ import random
 import pytest
 
 import kq.toda
-from kq.chain_algebra import GradedModule, homology
+from kq.chain_algebra import ChainAlgebra, GradedModule, NatSystem, homology
 from kq.cubical import corner_ball, cube_ball, point_ball
 from kq.documents import parse_algebra, parse_sequence
 from kq.errors import UserInputError
@@ -439,3 +439,42 @@ def test_replay_pinned_choice():
     assert res.representative.coords_key() in [r.coords_key() for r in bracket_set]
     with pytest.raises(UserInputError):
         toda_bracket(algebra, seq, 2, choices={(2, 1): {0: (1, 0)}})
+
+
+FOREIGN_NAT = "the natural system must be the level-1 system of this algebra"
+
+
+def test_a_natural_system_of_the_wrong_level_is_rejected(qm):
+    # a level-0 system would read the level-1 corner sums in the wrong bidegree
+    seq = abc_sequence(qm)
+    with pytest.raises(UserInputError, match=FOREIGN_NAT):
+        toda_bracket(qm, seq, 1, nat=NatSystem(qm, 0))
+    with pytest.raises(UserInputError, match=FOREIGN_NAT):
+        triple_indeterminacy(qm, seq, nat=NatSystem(qm, 0))
+
+
+def test_a_natural_system_of_another_algebra_is_rejected(qm):
+    # the same tables over Z/3 present other homology
+    q3 = ChainAlgebra(3, qm.n, qm.r_max, [(x, *qm.bidegree[x]) for x in qm.names], qm.unit, qm.diff, qm.mul)
+    seq = abc_sequence(qm)
+    for call in (
+        lambda nat: toda_bracket(qm, seq, 1, nat=nat),
+        lambda nat: oracle_bracket_set(qm, seq, 1, nat=nat),
+        lambda nat: triple_indeterminacy(qm, seq, nat=nat),
+    ):
+        with pytest.raises(UserInputError, match=FOREIGN_NAT):
+            call(NatSystem(q3, 1))
+    # the system of the algebra itself is accepted, and answers as the default one
+    own = toda_bracket(qm, seq, 1, nat=NatSystem(qm, 1))
+    assert own.representative.coords_key() == toda_bracket(qm, seq, 1).representative.coords_key()
+
+
+def test_a_zero_bracket_is_not_read_at_the_wrong_level():
+    # a zero bracket read at level 0 would come back as a level-0 element, with no error
+    rng = random.Random(3)
+    q = random_valid_algebra(rng)
+    seq = bracket_instances(q, rng)[0]
+    res = toda_bracket(q, seq, 1)
+    assert res.status == DEFINED and res.representative.is_zero() and res.representative.k == 1
+    with pytest.raises(UserInputError, match=FOREIGN_NAT):
+        toda_bracket(q, seq, 1, nat=NatSystem(q, 0))

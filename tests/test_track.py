@@ -523,3 +523,21 @@ def test_tensor_rejects_a_cylinder_ball(qm):
         tensor(g, f)
     with pytest.raises(UserInputError, match="cubical"):
         tensor(mult_map(qm, L1, L0, "a"), zero_morphism(jball, GradedModule.of([("q", 2)]), L1, qm))
+
+
+def test_restricted_and_injected_balls_have_their_own_boundary():
+    # the rim of the restricted ball carries nonzero values, so there is no
+    # obstruction class to read, and a self-homotopy is relative to that rim
+    q = make_massey_algebra()
+    L = GradedModule.of([("u", 3)])
+    M = GradedModule.of([("w", 0)])
+    F = random_morphism(cube_ball(2), L, M, q, random.Random(5))
+    assert F.value("00", 0) and F.value("01", 0)
+    G = restrict(F, {"0*", "00", "01"})
+    assert G.ball.boundary == {"00", "01"}
+    with pytest.raises(UserInputError, match="obstruction needs a boundary-trivial morphism"):
+        obstruction(G, NatSystem(q, 1))
+    w, _ = homotopic(G, G)
+    assert w.cyl.collapse == {"00", "01"}
+    moved = inject_cubical(restrict(F, {"*0", "00", "10"}), 0, 1, cube_ball(3))
+    assert moved.ball.boundary == {"100", "110"}

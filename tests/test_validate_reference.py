@@ -143,3 +143,29 @@ def test_hand_made_breakages_match_reference(label):
     want = reference(q)
     assert any(v["axiom"] in ("leibniz", "associativity") for v in want)
     assert q.validate() == want
+
+
+def _declaration_cases():
+    """Hand-made algebras whose declarations break a degree rule, with the entry each must give."""
+    out = {}
+    # the unit sits in bidegree (1,0)
+    q = ChainAlgebra(2, 1, 2, [("1", 1, 0), ("a", 1, 0)], "1", {}, {})
+    out["unit-outside-00"] = q, ("unit", ("1",), "unit must sit in bidegree (0,0)")
+    # a*b lands in r = 3 > rMax = 2, and its declared value b does not add bidegrees either
+    q = ChainAlgebra(2, 1, 2, [("1", 0, 0), ("a", 1, 0), ("b", 2, 0)], "1", {}, {("a", "b"): {"b": 1}})
+    out["product-escapes-rmax"] = q, ("degree", ("a", "b"), "declared product escapes the upper-degree window")
+    # x*y lands in s = 2 > n = 1
+    elements = [("1", 0, 0), ("x", 1, 1), ("y", 1, 1), ("z", 2, 1)]
+    q = ChainAlgebra(2, 1, 2, elements, "1", {}, {("x", "y"): {"z": 1}})
+    out["product-above-truncation"] = q, ("truncation", ("x", "y"), "declared product lands above the truncation level")
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(_declaration_cases()))
+def test_declaration_violations_are_reported_once(label):
+    q, (axiom, witness, detail) = _declaration_cases()[label]
+    report = q.validate()
+    assert report.count({"axiom": axiom, "witness": witness, "detail": detail}) == 1
+    # an escaping or truncated product is not checked for its bidegrees as well
+    assert [v for v in report if v["detail"] == "product does not add bidegrees"] == []
+    assert report == reference(q)

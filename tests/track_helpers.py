@@ -4,14 +4,15 @@ Random morphisms and solver choices, the self-homotopy space of a morphism,
 the ends, reversal and pasting of homotopies, the constant lift of a point
 morphism and its H_0 classes, a chain-map check and a chain-map solver
 between based complexes, every element of a natural system, the
-obstruction found by exhaustive search over the natural-system group, and
-the boundary faces of a cubical ball.  They check the library against
-independent constructions and are not part of it.
+obstruction found by exhaustive search over the natural-system group, the
+boundary faces of a cubical ball, the closure of the boundary cells off a
+face, and the boundary of the n-cube as a complex.  They check the library
+against independent constructions and are not part of it.
 """
 
 from kq import track
-from kq.chain_algebra import HClass, vec_add
-from kq.cubical import cylinder_ball
+from kq.chain_algebra import vec_add
+from kq.cubical import FREE, CubicalComplex, cube_complex, cylinder_ball
 from kq.errors import UserInputError
 from kq.exact_linalg import prime_power, solve_dense
 from kq.oracle_support import EnumerationBudget, _effective_ranges, enumerate_block_choices
@@ -236,8 +237,6 @@ def solve_chain_map(src, dst, prescribed, m):
 def all_classes(hom, r):
     """Every class of H_k in upper degree r, in a fixed order."""
     pres = hom.presentation(r)
-    if pres is None or pres.rank == 0:
-        return [HClass(hom.k, r, (), ())]
     p, _ = prime_power(pres.m)
     coords = [()]
     for e in reversed(pres.order_exps):  # the first coordinate varies fastest
@@ -291,3 +290,20 @@ def boundary_faces(ball):
         cells = {c for c in ball.boundary if all(a in (b, "*") for a, b in zip(t, c))}
         out.append(track.face_ball_of(ball, cells, label=f"{ball.label}:{t}"))
     return out
+
+
+def opposite_face(ball, face_cells):
+    """Closure of the boundary cells not in the given face."""
+    out = set()
+    stack = list(set(ball.boundary) - set(face_cells))
+    while stack:
+        c = stack.pop()
+        if c not in out:
+            out.add(c)
+            stack.extend(ball.basis.boundary_of(c))
+    return frozenset(out)
+
+
+def cube_boundary_complex(n):
+    """All proper faces of the n-cube."""
+    return CubicalComplex(n, frozenset(w for w in cube_complex(n).cells if any(ch != FREE for ch in w)))
