@@ -69,17 +69,13 @@ def _emit(doc, out_path=None):
     sys.stdout.write(payload)
 
 
-def _violation_out(v):
-    return {"axiom": v["axiom"], "witness": list(v["witness"]), "detail": v["detail"]}
-
-
 def _load_algebra(args, result, require_valid=True):
     doc, result["inputs"]["algebra_sha256"] = _load_json(args.algebra, "algebra")
     algebra, violations = parse_algebra(doc)
     if violations and require_valid:
         raise UserInputError(
             "the algebra violates its axioms",
-            detail={"violations": [_violation_out(v) for v in violations]},
+            detail={"violations": violations},
         )
     return algebra, violations
 
@@ -122,7 +118,7 @@ def run(args):
     if args.command == "validate":
         algebra, violations = _load_algebra(args, result, require_valid=False)
         result["valid"] = not violations
-        result["violations"] = [_violation_out(v) for v in violations]
+        result["violations"] = violations
         return result
 
     if args.command == "truncate":
@@ -169,7 +165,7 @@ def run(args):
             result["status"] = "not_constructible"
             result["failed_step"] = fail.get("step")
             result["failed_index"] = fail.get("index")
-            result["certificate"] = _jsonable(fail.get("certificate"))
+            result["certificate"] = fail.get("certificate")
         else:
             result["status"] = "defined"
             result["levels"] = sorted([list(k) for k in hcc.data])
@@ -187,23 +183,13 @@ def run(args):
         if hcc is None:
             raise UserInputError(
                 "the resolution window does not extend to a coherent chain complex",
-                detail=_jsonable(fail),
+                detail=fail,
             )
         res = adams_d(algebra, hcc, beta, n, nat=nat)
         result.update(_bracket_payload(res))
         return result
 
     raise UserInputError(f"unknown command {args.command!r}")
-
-
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (int, str, bool)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return repr(obj)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +229,7 @@ def build_parser():
 
 def _user_error(command, exc):
     print(f"error: {exc}", file=sys.stderr)
-    return {"command": command, "status": "error", "error": str(exc), "detail": _jsonable(exc.detail), "kind": "user"}
+    return {"command": command, "status": "error", "error": str(exc), "detail": exc.detail, "kind": "user"}
 
 
 def _outcome(args):

@@ -20,7 +20,9 @@ change their cells or boundary rows after construction.
 
 Chain-level cylinders (with a chosen collapsed subcomplex) and a face's
 cylinder glued onto a ball are built here as generic based chain complexes,
-so that homotopies and actions reduce to plain linear algebra.
+so that homotopies and actions reduce to plain linear algebra.  A cylinder's
+bottom, top and sleeve are its one naming rule: every cell is built through
+them, and a cylinder cell's diagonal is read off its name, like a cube's.
 """
 
 from collections import Counter
@@ -43,15 +45,6 @@ def cell_dim(word):
 
 def free_positions(word):
     return [i for i, ch in enumerate(word) if ch == FREE]
-
-
-def cell_faces(word):
-    """All codimension-one faces of a cell."""
-    out = []
-    for i in free_positions(word):
-        out.append(word[:i] + "0" + word[i + 1 :])
-        out.append(word[:i] + "1" + word[i + 1 :])
-    return out
 
 
 def boundary_word(word):
@@ -104,17 +97,12 @@ class CubicalComplex:
     ambient: int
     cells: frozenset
 
-    def cells_of_dim(self, k):
-        return sorted(w for w in self.cells if cell_dim(w) == k)
-
     @property
     def dim(self):
         return max((cell_dim(w) for w in self.cells), default=-1)
 
     def maximal_cells(self):
-        non_max = set()
-        for w in self.cells:
-            non_max.update(cell_faces(w))
+        non_max = {f for w in self.cells for _, f in boundary_word(w)}
         return sorted((w for w in self.cells if w not in non_max), key=lambda w: (cell_dim(w), w))
 
     def union(self, other):
@@ -192,11 +180,10 @@ class ChainBasis:
     construction, so bases (and the balls carrying them) may be shared.
     """
 
-    def __init__(self, dims, boundary, diagonal=None, label=""):
+    def __init__(self, dims, boundary, diagonal=None):
         self.dims = dict(dims)
         self.bnd = {c: {x: v for x, v in row.items() if v} for c, row in boundary.items()}
         self.diagonal = diagonal
-        self.label = label
         for c, row in self.bnd.items():
             for x in row:
                 if x not in self.dims:
@@ -220,7 +207,7 @@ class ChainBasis:
 
     def diag_of(self, c):
         if self.diagonal is None:
-            raise UserInputError(f"no diagonal available on {self.label or 'this complex'}")
+            raise UserInputError("no diagonal available on this complex")
         if c not in self.dims:
             raise UserInputError(f"cell {c!r} is not in this complex")
         return self.diagonal(c)
@@ -229,16 +216,16 @@ class ChainBasis:
         cells = set(cells)
         return all(x in cells for c in cells for x in self.boundary_of(c))
 
-    def subbasis(self, cells, label=""):
+    def subbasis(self, cells):
         cells = set(cells)
         if not self.is_closed(cells):
             raise UserInputError("cell set is not a subcomplex")
         dims = {c: self.dims[c] for c in cells}
         bnd = {c: self.boundary_of(c) for c in cells}
-        return ChainBasis(dims, bnd, self.diagonal, label or self.label)
+        return ChainBasis(dims, bnd, self.diagonal)
 
 
-def complex_basis(complex_, label=""):
+def complex_basis(complex_):
     dims = {w: cell_dim(w) for w in complex_.cells}
     bnd = {}
     for w in complex_.cells:
@@ -246,7 +233,7 @@ def complex_basis(complex_, label=""):
         for coeff, f in boundary_word(w):
             acc[f] = acc.get(f, 0) + coeff
         bnd[w] = acc
-    return ChainBasis(dims, bnd, serre_diagonal_word, label)
+    return ChainBasis(dims, bnd, serre_diagonal_word)
 
 
 # ---------------------------------------------------------------------------
@@ -279,27 +266,27 @@ class Ball:
 
 
 def point_ball():
-    return Ball(complex_basis(cube_complex(0), "pt"), "pt")
+    return Ball(complex_basis(cube_complex(0)), "pt")
 
 
 @cache
 def cube_ball(n):
-    return Ball(complex_basis(cube_complex(n), f"I^{n}"), f"I^{n}")
+    return Ball(complex_basis(cube_complex(n)), f"I^{n}")
 
 
 @cache
 def corner_ball(n, digit=0):
     """The (n-1)-ball formed by the facets of the n-cube through a corner."""
-    return Ball(complex_basis(corner_faces_complex(n, digit), f"corner({n},{digit})"), f"corner({n},{digit})")
+    return Ball(complex_basis(corner_faces_complex(n, digit)), f"corner({n},{digit})")
 
 
 def facet_ball(n, pos, digit):
-    return Ball(complex_basis(facet_complex(n, pos, digit), f"facet({n},{pos},{digit})"), f"facet({n},{pos},{digit})")
+    return Ball(complex_basis(facet_complex(n, pos, digit)), f"facet({n},{pos},{digit})")
 
 
 def face_ball_of(ball, cells, label=""):
     """The face spanned by cells as a ball, whose derived boundary is the face's rim."""
-    return Ball(ball.basis.subbasis(cells, label=label), label or "face")
+    return Ball(ball.basis.subbasis(cells), label or "face")
 
 
 def orientation_sign(ball, facet):
@@ -328,11 +315,15 @@ def orientation_sign(ball, facet):
 class CylinderComplex:
     """Chain-level relative cylinder on a based complex.
 
-    The cylinder over the collapsed subcomplex is squashed: for a collapsed
-    cell both end copies coincide and there is no sleeve cell.
+    A base cell c has a bottom copy, a top copy and, unless c is collapsed, a
+    sleeve of one dimension more; for a collapsed cell both end copies
+    coincide and there is no sleeve.  bottom, top and sleeve are the
+    cylinder's one naming rule: its cells, boundary rows and projection are
+    built through them, and the diagonal of a cell is read off its name on
+    demand, like a cube's.
     """
 
-    def __init__(self, base, collapse, label=""):
+    def __init__(self, base, collapse):
         collapse = frozenset(collapse)
         if not base.is_closed(collapse):
             raise UserInputError("collapse set must be a subcomplex")
@@ -343,48 +334,17 @@ class CylinderComplex:
                         raise InternalInvariantError("collapse set is not a subcoalgebra")
         self.base = base
         self.collapse = collapse
-        dims = {}
-        bnd = {}
+        dims, bnd = {}, {}
         for c in base.cells():
-            d = base.dim(c)
-            if c in collapse:
-                dims["=:" + c] = d
-                bnd["=:" + c] = {self.bottom(x): v for x, v in base.boundary_of(c).items()}
-            else:
-                dims["-:" + c] = d
-                dims["+:" + c] = d
-                dims["e:" + c] = d + 1
-                bnd["-:" + c] = self._push(base.boundary_of(c), self.bottom)
-                bnd["+:" + c] = self._push(base.boundary_of(c), self.top)
-                row = {self.top(c): 1, self.bottom(c): -1}
-                for x, v in base.boundary_of(c).items():
-                    if x not in collapse:
-                        row["e:" + x] = row.get("e:" + x, 0) - v
-                bnd["e:" + c] = row
-        diag = None
-        if base.diagonal is not None:
-            diag = {}
-            for c in base.cells():
-                terms = base.diag_of(c)
-                if c in collapse:
-                    diag["=:" + c] = [(s, "=:" + a, "=:" + b) for s, a, b in terms]
-                else:
-                    diag["-:" + c] = [(s, self.bottom(a), self.bottom(b)) for s, a, b in terms]
-                    diag["+:" + c] = [(s, self.top(a), self.top(b)) for s, a, b in terms]
-                    rows = []
-                    for s, a, b in terms:
-                        if a not in collapse:
-                            rows.append((s, "e:" + a, self.bottom(b)))
-                        if b not in collapse:
-                            sign = s if base.dim(a) % 2 == 0 else -s
-                            rows.append((sign, self.top(a), "e:" + b))
-                    diag["e:" + c] = rows
-        lookup = None if diag is None else diag.__getitem__
-        self.basis = ChainBasis(dims, bnd, lookup, label or ("J(" + base.label + ")"))
-
-    @staticmethod
-    def _push(row, namer):
-        return {namer(x): v for x, v in row.items()}
+            d, row = base.dim(c), base.boundary_of(c)
+            for end in (self.bottom, self.top):
+                dims[end(c)] = d
+                bnd[end(c)] = {end(x): v for x, v in row.items()}
+            if c not in collapse:
+                dims[self.sleeve(c)] = d + 1
+                sides = {self.sleeve(x): -v for x, v in row.items() if x not in collapse}
+                bnd[self.sleeve(c)] = {self.top(c): 1, self.bottom(c): -1, **sides}
+        self.basis = ChainBasis(dims, bnd, None if base.diagonal is None else self.diagonal)
 
     def bottom(self, c):
         return ("=:" if c in self.collapse else "-:") + c
@@ -395,15 +355,28 @@ class CylinderComplex:
     def sleeve(self, c):
         return None if c in self.collapse else "e:" + c
 
+    def diagonal(self, cell):
+        """The diagonal of a cylinder cell: an end copies its base cell's, a sleeve is swept from it."""
+        c = cell[2:]
+        terms = self.base.diag_of(c)
+        if cell != self.sleeve(c):
+            end = self.top if cell == self.top(c) else self.bottom
+            return [(s, end(a), end(b)) for s, a, b in terms]
+        rows = []
+        for s, a, b in terms:
+            if a not in self.collapse:
+                rows.append((s, self.sleeve(a), self.bottom(b)))
+            if b not in self.collapse:
+                rows.append((s if self.base.dim(a) % 2 == 0 else -s, self.top(a), self.sleeve(b)))
+        return rows
+
     def projection(self):
         out = {}
         for c in self.base.cells():
-            if c in self.collapse:
-                out["=:" + c] = {c: 1}
-            else:
-                out["-:" + c] = {c: 1}
-                out["+:" + c] = {c: 1}
-                out["e:" + c] = {}
+            for end in (self.bottom, self.top):
+                out[end(c)] = {c: 1}
+            if c not in self.collapse:
+                out[self.sleeve(c)] = {}
         return out
 
 
@@ -421,8 +394,8 @@ class AttachedCylinder:
     It must collapse exactly the face's rim, the boundary of the face as a
     ball: that is what makes action_map a chain map.  The glued complex
     identifies the cylinder's top end and its collapsed cells with the face
-    in the ball; its bottom end and its sleeves keep their cylinder names,
-    and no other cell is added.
+    in the ball; its bottom end and its sleeves, the cells in added, keep
+    their cylinder names, and no other cell is added.
     """
 
     def __init__(self, ball, cyl):
@@ -435,18 +408,19 @@ class AttachedCylinder:
             raise UserInputError("the cylinder must collapse exactly the rim of the face")
         self.ball = ball
         self.cyl = cyl
+        self.added = frozenset(x for c in face - cyl.collapse for x in (cyl.bottom(c), cyl.sleeve(c)))
+        self._face_cell = {cyl.top(c): c for c in face}
         dims = dict(ball.basis.dims)
         bnd = dict(ball.basis.bnd)
         for x in cyl.basis.cells():
-            if x[:2] in ("-:", "e:"):
+            if x in self.added:
                 dims[x] = cyl.basis.dim(x)
                 bnd[x] = {self.glued(y): v for y, v in cyl.basis.boundary_of(x).items()}
-        self.basis = ChainBasis(dims, bnd, None, ball.label + "+cyl")
+        self.basis = ChainBasis(dims, bnd)
 
-    @staticmethod
-    def glued(x):
+    def glued(self, x):
         """The name of a cylinder cell in the glued complex."""
-        return x[2:] if x[:2] in ("+:", "=:") else x
+        return self._face_cell.get(x, x)
 
     def action_map(self):
         """Chain map from the ball into the glued complex: the identity on the

@@ -25,8 +25,7 @@ def _need(doc, key, where, types):
 
 
 def _coeff_list(val, where):
-    if not isinstance(val, list):
-        raise UserInputError(f"expected a list of {{gen, coeff}} at {where}")
+    """The vector of a {gen, coeff} list, which every caller has already checked to be a list."""
     out = {}
     for t, item in enumerate(val):
         gen = _need(item, "gen", f"{where}[{t}]", str)

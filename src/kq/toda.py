@@ -41,6 +41,8 @@ class MorphismSequence:
     @staticmethod
     def of(modules, maps):
         seq = MorphismSequence(tuple(modules), tuple(maps))
+        if len(seq.modules) != len(seq.maps) + 1:
+            raise UserInputError("a sequence must list one more module than maps")
         for t, f in enumerate(seq.maps):
             if f.src != seq.modules[t + 1] or f.dst != seq.modules[t]:
                 raise UserInputError(f"map {t + 1} does not match the module chain")

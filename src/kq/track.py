@@ -30,7 +30,7 @@ from .cubical import (
     CylinderComplex,
     complex_basis,
     cylinder_ball,
-    face_ball_of,  # re-exported for the callers of act_nat, which take a face ball
+    face_ball_of,
     orientation_sign,
 )
 from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
@@ -140,8 +140,7 @@ def compose(g, f):
 
 def restrict(f, cells):
     """Restriction to a subcomplex of the base."""
-    label = f.ball.label + "|sub"
-    return restrict_to_ball(f, Ball(f.ball.basis.subbasis(cells, label=label), label))
+    return restrict_to_ball(f, face_ball_of(f.ball, cells, f.ball.label + "|sub"))
 
 
 def restrict_to_ball(f, ball):
@@ -243,14 +242,13 @@ def inject_cubical(f, position, digit, ambient_ball):
 @dataclass
 class HomotopyWitness:
     mor: TrackMorphism
-    cyl: CylinderComplex
-    base_ball: Ball
+    cyl: CylinderComplex  # mor lives over cyl.basis; cyl.base is the base of both its ends
 
 
 def constant_homotopy(f):
     """The homotopy pulled back along the projection of the cylinder onto f's base."""
     jball, cyl = cylinder_ball(f.ball)
-    return HomotopyWitness(pullback(f, cyl.projection(), jball), cyl, f.ball)
+    return HomotopyWitness(pullback(f, cyl.projection(), jball), cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +405,12 @@ def homotopic(f, g, rel=None):
             prescribed[(cyl.bottom(c), i)] = f.value(c, i)
             if cyl.top(c) != cyl.bottom(c):
                 prescribed[(cyl.top(c), i)] = g.value(c, i)
-    unknown = [c for c in jball.basis.cells() if c.startswith("e:")]
+    unknown = [cyl.sleeve(c) for c in f.ball.basis.cells() if c not in collapse]
     res, cert = solve_for_values(jball, f.Q, f.src, f.dst, prescribed, unknown, tainted=f.tainted or g.tainted)
     if res is None:
         return None, cert
     res = res.instantiate()
-    return HomotopyWitness(res.morphism, cyl, f.ball), res
+    return HomotopyWitness(res.morphism, cyl), res
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +443,13 @@ def act(F, witness):
     if witness.mor.Q.m != F.Q.m:
         raise ModulusMismatchError("the witness and the morphism it acts on need one modulus")
     cyl = witness.cyl
-    for c in witness.base_ball.basis.dims:
+    for c in cyl.base.dims:
         for i in range(F.src.size):
             if witness.mor.value(cyl.top(c), i) != F.value(c, i):
                 raise UserInputError("witness top face must equal the restriction of F")
     att = AttachedCylinder(F.ball, cyl)  # checks that cyl collapses the face's rim
     values = dict(F.values)
-    values.update((k, v) for k, v in witness.mor.values.items() if k[0][:2] in ("-:", "e:"))
+    values.update((k, v) for k, v in witness.mor.values.items() if k[0] in att.added)
     glued = TrackMorphism(Ball(att.basis), F.src, F.dst, F.Q, values, F.tainted or witness.mor.tainted)
     return pullback(glued, att.action_map(), F.ball)
 

@@ -82,7 +82,7 @@ class ReferenceAttachedCylinder:
                 if x in self.face_interior:
                     rowe["e:" + x] = rowe.get("e:" + x, 0) - v
             bnd["e:" + a] = rowe
-        self.basis = ChainBasis(dims, bnd, None, ball.label + "+cyl")
+        self.basis = ChainBasis(dims, bnd)
 
     def far(self, a):
         return "0:" + a if a in self.face_interior else a
@@ -105,7 +105,7 @@ def reference_act(F, witness, face_cells):
     """Glue a cylinder carrying the witness onto the face and sweep across it."""
     att = ReferenceAttachedCylinder(F.ball, face_cells)
     cyl = witness.cyl
-    base_cells = set(witness.base_ball.basis.dims)
+    base_cells = set(cyl.base.dims)
     if base_cells != set(face_cells):
         raise UserInputError("witness base must be the face being acted on")
     for c in face_cells:
@@ -161,7 +161,7 @@ def _witnesses(F, face, nat, rng):
             yield sigma_homotopy(f_face, alpha, orientation)
     res, _, cyl = self_homotopy_space(f_face)
     for _ in range(2):
-        yield HomotopyWitness(res.instantiate(random_choices(res, rng)).morphism, cyl, f_face.ball)
+        yield HomotopyWitness(res.instantiate(random_choices(res, rng)).morphism, cyl)
     for _ in range(2):
         w, _ = homotopic(_agreeing_on_rim(f_face, rng), f_face)
         if w is not None:

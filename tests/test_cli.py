@@ -264,6 +264,12 @@ def _assert_user_error(code, out, mentions):
     assert mentions in doc["error"]
 
 
+def _assert_exact_user_error(code, out, message):
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["status"], doc["kind"], doc["error"]) == ("error", "user", message)
+
+
 def test_homology_negative_level_rejected(capsys):
     code, out, _ = run_cli(
         capsys, "homology", "--algebra", str(FIXTURES / "massey_algebra.json"), "--k", "-3"
@@ -478,6 +484,20 @@ def _replace(doc, path, value):
         ("algebra", ("differential", 0, "to", 0, "coeff"), True, "field 'coeff' at differential[0].to[0] has the wrong type"),
         ("sequence", ("modules", 1, "generators", 0, "r"), False, "field 'r' at modules[1].generators[0] has the wrong type"),
         ("sequence", ("maps", 0, "entries", 0, "row"), True, "field 'row' at maps[0].entries[0] has the wrong type"),
+        ("algebra", ("differential", 0, "to"), 5, "field 'to' at differential[0] has the wrong type"),
+        ("algebra", ("differential", 1, "from"), "x", "duplicate differential entry at differential[1]"),
+        ("algebra", ("products", 1, "right"), "b", "duplicate product entry at products[1]"),
+        ("algebra", ("basis", 1, "name"), "1", "duplicate basis names"),
+        ("algebra", ("unit",), "nope", "unit 'nope' is not a basis element"),
+        ("algebra", ("differential", 0, "from"), "nope", "differential on unknown element 'nope'"),
+        ("algebra", ("differential", 0, "to", 0, "gen"), "nope", "differential of 'x' hits unknown 'nope'"),
+        ("algebra", ("products", 0, "left"), "nope", "product on unknown pair ('nope','b')"),
+        ("algebra", ("products", 0, "to", 0, "gen"), "nope", "product ('a','b') hits unknown 'nope'"),
+        ("sequence", ("modules", 1, "name"), "X0", "duplicate module name 'X0'"),
+        ("sequence", ("maps", 0, "from"), "X2", "maps[0] must go from modules[1] to modules[0] in order"),
+        ("sequence", ("maps", 0, "entries", 0, "row"), 1, "entry indices out of range at maps[0].entries[0]"),
+        # degree (1,0) is needed from X1 (r = 1) to X0 (r = 0), and ab sits in (2,0)
+        ("sequence", ("maps", 0, "entries", 0, "value", 0, "gen"), "ab", "entry value at maps[0].entries[0] must be a degree (1,0) cycle"),
     ],
     ids=[
         "document",
@@ -493,6 +513,19 @@ def _replace(doc, path, value):
         "bool-coeff",
         "bool-generator-r",
         "bool-entry-row",
+        "differential-target",
+        "duplicate-differential",
+        "duplicate-product",
+        "duplicate-basis-name",
+        "unknown-unit",
+        "differential-on-unknown",
+        "differential-hits-unknown",
+        "product-on-unknown",
+        "product-hits-unknown",
+        "duplicate-module",
+        "map-out-of-order",
+        "entry-out-of-range",
+        "entry-wrong-degree",
     ],
 )
 def test_malformed_document_is_user_error(which, path, value, mentions, capsys, tmp_path):
@@ -507,7 +540,54 @@ def test_malformed_document_is_user_error(which, path, value, mentions, capsys, 
     if which == "sequence":
         argv = ["toda", "--algebra", str(paths["algebra"]), "--sequence", str(paths["sequence"])]
     code, out, _ = run_cli(capsys, *argv)
-    _assert_user_error(code, out, mentions)
+    _assert_exact_user_error(code, out, mentions)
+
+
+def _sequence_file(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _abc():
+    return json.loads((FIXTURES / "massey_sequence_abc.json").read_text())
+
+
+def _five_modules():
+    doc = _abc()
+    doc["modules"].append({"name": "X4", "generators": [{"name": "z4", "r": 4}]})
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("toda", _five_modules()), ("chain-complex", {"modules": [], "maps": []})],
+    ids=["a-module-too-many", "no-modules"],
+)
+def test_a_sequence_must_list_one_more_module_than_maps(command, doc, capsys, tmp_path):
+    seq = _sequence_file(tmp_path, "sequence", doc)
+    code, out, _ = run_cli(capsys, command, "--algebra", str(FIXTURES / "massey_algebra.json"), "--sequence", seq)
+    _assert_exact_user_error(code, out, "a sequence must list one more module than maps")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["toda"], "this command needs --sequence"),
+        (["truncate"], "truncate needs --n"),
+        (["homology"], "homology needs --k"),
+        (["toda", "--sequence", "two-maps"], "order-1 brackets need 3 maps, got 2"),
+        (["oracle", "--sequence", "two-maps"], "order-1 brackets need 3 maps, got 2"),
+        (["adams-d", "--sequence", "two-maps"], "adams-d needs 3 maps: the resolution window then the class lift"),
+    ],
+    ids=["toda-no-sequence", "truncate-no-n", "homology-no-k", "toda-two-maps", "oracle-two-maps", "adams-d-two-maps"],
+)
+def test_a_run_missing_what_its_command_needs_is_user_error(argv, message, capsys, tmp_path):
+    doc = _abc()
+    two_maps = {"modules": doc["modules"][:3], "maps": doc["maps"][:2]}
+    argv = [_sequence_file(tmp_path, "two-maps", two_maps) if a == "two-maps" else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv, "--algebra", str(FIXTURES / "massey_algebra.json"))
+    _assert_exact_user_error(code, out, message)
 
 
 @pytest.mark.parametrize(

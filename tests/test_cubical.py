@@ -1,10 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from kq.errors import UserInputError
 from kq.cubical import (
     AttachedCylinder,
+    CubicalComplex,
     CylinderComplex,
     boundary_word,
     cell_dim,
@@ -124,8 +126,8 @@ def test_dd_zero_on_cubes_up_to_4():
 
 def test_boundary_rank_on_square_boundary():
     bd = cube_boundary_complex(2)
-    vertices = bd.cells_of_dim(0)
-    edges = bd.cells_of_dim(1)
+    vertices = sorted(w for w in bd.cells if cell_dim(w) == 0)
+    edges = sorted(w for w in bd.cells if cell_dim(w) == 1)
     d1 = [[0] * len(edges) for _ in vertices]
     for j, w in enumerate(edges):
         for coeff, f in boundary_word(w):
@@ -170,13 +172,11 @@ def test_diagonal_restricts_to_subcomplexes():
 
 
 def test_corner_complex_cell_counts():
-    t2 = corner_faces_complex(3, 0)
-    assert len(t2.cells_of_dim(2)) == 3
-    assert len(t2.cells_of_dim(1)) == 9
-    assert len(t2.cells_of_dim(0)) == 7
-    t1 = corner_faces_complex(2, 0)
-    assert len(t1.cells_of_dim(1)) == 2
-    assert len(t1.cells_of_dim(0)) == 3
+    def counts(complex_):
+        return sorted(Counter(cell_dim(w) for w in complex_.cells).items())
+
+    assert counts(corner_faces_complex(3, 0)) == [(0, 7), (1, 9), (2, 3)]
+    assert counts(corner_faces_complex(2, 0)) == [(0, 3), (1, 2)]
 
 
 def test_corner_union_is_cube_boundary():
@@ -192,6 +192,14 @@ def test_regular_sequence_validation():
         assert is_regular_sequence(list(perm))
     # two opposite facets of the square do not glue
     assert not is_regular_sequence([facet_complex(2, 0, 0), facet_complex(2, 0, 1)])
+    assert not is_regular_sequence([])
+    assert not is_regular_sequence([facet_complex(2, 0, 0), cube_complex(2)])  # dimensions 1 and 2
+    # the square x0 = 1 with the stray vertex 000 meets the square x2 = 0 in the
+    # edge 1*0 and the vertex 000: nonempty, but not pure of dimension one
+    with_vertex = facet_complex(3, 0, 1).union(CubicalComplex(3, frozenset({"000"})))
+    assert with_vertex.intersection(facet_complex(3, 2, 0)).maximal_cells() == ["000", "1*0"]
+    assert not is_regular_sequence([facet_complex(3, 2, 0), with_vertex])
+    assert is_regular_sequence([facet_complex(3, 2, 0), facet_complex(3, 0, 1)])
 
 
 def test_orientation_signs_on_cube_facets():
@@ -328,6 +336,7 @@ def test_attached_cylinder_action_map_is_chain_map():
             assert is_chain_map(att.action_map(), ball.basis, att.basis)
             # the cylinder's bottom end and sleeves are the only cells added, under their own names
             added = {c for c in cyl.basis.dims if c[:2] in ("-:", "e:")}
+            assert att.added == added
             assert set(att.basis.dims) == set(ball.basis.dims) | added
             assert all(att.basis.dim(c) == cyl.basis.dim(c) for c in added)
 

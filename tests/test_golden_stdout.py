@@ -88,6 +88,12 @@ def cases(work):
     a1b = _write(work / "massey-a1b.json", point_sequence([("w", 0), ("s", 1), ("t", 1), ("r", 2)], ["a", "1", "b"]))
     for command in ("toda", "adams-d"):
         out[f"{command} massey-a1b"] = [command, "--algebra", massey, "--sequence", a1b, "--n", "1"]
+    # a sequence must list one more module than maps: a module too many, and none at all
+    five_modules = [("w", 0), ("z1", 1), ("z2", 2), ("z3", 3), ("z4", 4)]
+    five = _write(work / "massey-five-modules.json", point_sequence(five_modules, ["a", "b", "c"]))
+    out["toda massey-five-modules"] = ["toda", "--algebra", massey, "--sequence", five, "--n", "1"]
+    empty = _write(work / "empty-sequence.json", point_sequence([], []))
+    out["chain-complex empty-sequence"] = ["chain-complex", "--algebra", massey, "--sequence", empty]
 
     for order in (1, 2, 3):
         for modulus in (2, 3, 4, 9):

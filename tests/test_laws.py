@@ -227,7 +227,7 @@ def _as_witness(mor, qm):
             if v:
                 values[(name, i)] = dict(v)
     out = TrackMorphism(jball, mor.src, mor.dst, mor.Q, values)
-    return HomotopyWitness(out, cyl, point_ball())
+    return HomotopyWitness(out, cyl)
 
 
 def _witness_to_interval(w, qm):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kq.chain_algebra import GradedModule, NatSystem, homology
+from kq.chain_algebra import GradedModule, NatSystem, homology, vec_add
 from kq.cubical import (
     corner_ball,
     cube_ball,
@@ -39,7 +39,7 @@ from kq.track import (
     TrackMorphism,
 )
 
-from conftest import make_massey_algebra, make_z4_algebra
+from conftest import make_fourfold_algebra, make_massey_algebra, make_z4_algebra
 from track_helpers import (
     bottom,
     enumerate_nat,
@@ -290,6 +290,26 @@ def test_extend_zero(qm):
     res, cert = extend(ball, partial, zero_cells)
     assert res is not None
     assert res.morphism.is_zero()
+
+
+def test_check_reports_exactly_the_broken_value():
+    # over the top cell, which bounds nothing, adding the non-cycle w1 breaks
+    # the chain condition there and nowhere else
+    Q = make_fourfold_algebra()
+    L = GradedModule.of([("u", 3)])
+    M = GradedModule.of([("w", 0)])
+    f = random_morphism(cube_ball(2), L, M, Q, random.Random(5))
+    assert f.check() == []
+    f.values[("**", 0)] = vec_add(f.value("**", 0), {(0, "w1"): 1}, Q.m)
+    assert f.check() == [("**", 0)]
+
+
+def test_extend_rejects_partial_data_on_a_prescribed_zero_cell(qm):
+    L = GradedModule.of([("u", 2)])
+    partial = identity_morphism(corner_ball(2, 0), L, qm)  # nonzero on every vertex
+    res, cert = extend(cube_ball(2), partial, ["11", "00"])
+    assert res is None
+    assert cert == {"generator": "u", "reason": "prescribed zero conflicts with partial data at '00'"}
 
 
 def test_extension_iff_nullhomotopic(qm):

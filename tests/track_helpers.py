@@ -12,7 +12,7 @@ against independent constructions and are not part of it.
 
 from kq import track
 from kq.chain_algebra import vec_add
-from kq.cubical import FREE, CubicalComplex, cube_complex, cylinder_ball
+from kq.cubical import FREE, Ball, CubicalComplex, cube_complex, cylinder_ball
 from kq.errors import UserInputError
 from kq.exact_linalg import prime_power, solve_dense
 from kq.oracle_support import EnumerationBudget, _effective_ranges, enumerate_block_choices
@@ -51,7 +51,7 @@ def self_homotopy_space(f):
             prescribed[(cyl.bottom(c), i)] = f.value(c, i)
             if cyl.top(c) != cyl.bottom(c):
                 prescribed[(cyl.top(c), i)] = f.value(c, i)
-    unknown = [c for c in jball.basis.cells() if c.startswith("e:")]
+    unknown = [cyl.sleeve(c) for c in f.ball.basis.cells() if c not in cyl.collapse]
     res, cert = track.solve_for_values(jball, f.Q, f.src, f.dst, prescribed, unknown)
     if res is None:
         raise AssertionError(f"constant homotopy must exist: {cert}")
@@ -61,7 +61,7 @@ def self_homotopy_space(f):
 def enumerate_self_homotopies(f, budget=None):
     res, _, cyl = self_homotopy_space(f)
     for choices in enumerate_block_choices(res, budget):
-        yield track.HomotopyWitness(res.instantiate(choices).morphism, cyl, f.ball)
+        yield track.HomotopyWitness(res.instantiate(choices).morphism, cyl)
 
 
 # ---------------------------------------------------------------------------
@@ -83,23 +83,23 @@ def reverse(cyl):
         out[cyl.bottom(c)] = {cyl.top(c): 1}
         out[cyl.top(c)] = {cyl.bottom(c): 1}
         if c not in cyl.collapse:
-            out["e:" + c] = {"e:" + c: -1}
+            out[cyl.sleeve(c)] = {cyl.sleeve(c): -1}
     return out
 
 
 def bottom(w):
     """The source end of a homotopy, pulled back along the bottom inclusion."""
-    return track.pullback(w.mor, include_bottom(w.cyl), w.base_ball)
+    return track.pullback(w.mor, include_bottom(w.cyl), Ball(w.cyl.base))
 
 
 def top(w):
     """The target end of a homotopy, pulled back along the top inclusion."""
-    return track.pullback(w.mor, include_top(w.cyl), w.base_ball)
+    return track.pullback(w.mor, include_top(w.cyl), Ball(w.cyl.base))
 
 
 def opposite(w):
     """The reversed homotopy: w pulled back along the end swap of its cylinder."""
-    return track.HomotopyWitness(track.pullback(w.mor, reverse(w.cyl), w.mor.ball), w.cyl, w.base_ball)
+    return track.HomotopyWitness(track.pullback(w.mor, reverse(w.cyl), w.mor.ball), w.cyl)
 
 
 def paste(w1, w2):
@@ -109,7 +109,7 @@ def paste(w1, w2):
     if not top(w1).equal(bottom(w2)):
         raise UserInputError("pasting needs matching middle faces")
     values = {}
-    for c in w1.base_ball.basis.cells():
+    for c in w1.cyl.base.cells():
         for i in range(w1.mor.src.size):
             bot = w1.mor.value(w1.cyl.bottom(c), i)
             tp = w2.mor.value(w2.cyl.top(c), i)
@@ -124,7 +124,7 @@ def paste(w1, w2):
                     values[(s, i)] = sv
     flag = w1.mor.tainted or w2.mor.tainted
     mor = track.TrackMorphism(w1.mor.ball, w1.mor.src, w1.mor.dst, w1.mor.Q, values, flag)
-    return track.HomotopyWitness(mor, w1.cyl, w1.base_ball)
+    return track.HomotopyWitness(mor, w1.cyl)
 
 
 def lift_from_point(ball, f):
