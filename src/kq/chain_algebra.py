@@ -323,20 +323,13 @@ def homology(Q, k):
 # truncation
 
 
-def _class_name(basis, rep_vec):
-    terms = []
-    for name, c in zip(basis, rep_vec):
-        if c == 0:
-            continue
-        terms.append(name if c == 1 else f"{c}*{name}")
-    return "+".join(terms) if terms else "0"
-
-
 def truncate(Q, n2):
     """The lower truncation: the top level becomes Q_n2 / d(Q_{n2+1}).
 
     Requires every quotient level to be a free Z/m module; a torsion quotient
     (possible over Z/p^2) is reported as an error carrying the presentation.
+    The new top level keeps, under their own names, the level-n2 basis
+    elements that the Smith reduction leaves free (see quotient_presentation).
     """
     if not 0 <= n2 <= Q.n:
         raise UserInputError(f"cannot truncate {Q.n}-truncated algebra to level {n2}")
@@ -350,7 +343,6 @@ def truncate(Q, n2):
         if s < n2:
             elements.append((name, r, s))
             lifts[name] = {name: 1}, r, s
-    kept = set(lifts)
     projections = {}
     for r in range(Q.r_max + 1):
         basis = Q.basis_at(r, n2)
@@ -364,12 +356,10 @@ def truncate(Q, n2):
                 detail={"r": r, "order_exponents": list(pres.order_exps)},
             )
         projections[r] = (basis, pres)
-        for idx, rep in enumerate(pres.reps):
-            cname = _class_name(basis, rep)
-            if cname in kept:
-                cname = f"{cname}@{r}.{idx}"
-            elements.append((cname, r, n2))
-            lifts[cname] = {basis[i]: c for i, c in enumerate(rep) if c}, r, n2
+        for rep in pres.reps:  # a unit vector, since every generator is free
+            name = basis[rep.index(1)]
+            elements.append((name, r, n2))
+            lifts[name] = {name: 1}, r, n2
 
     names_at = {}
     for name, r, s in elements:

@@ -14,9 +14,9 @@ off its word on demand; no table of diagonals is built.
 
 A ball is a based complex together with the boundary its cells determine:
 the closure of the codimension-one cells that lie in exactly one top cell.
-The standard balls (cube_ball, corner_ball) are built once per dimension and
-shared: a ball and its chain basis are immutable values, and nothing may
-change their cells or boundary rows after construction.
+The cube balls are built once per dimension and shared, and every other
+standard ball is a face of one (the point is cube_ball(0)).  Balls and bases
+are immutable values: nothing may change their cells or boundary rows.
 
 Chain-level cylinders (with a chosen collapsed subcomplex) and a face's
 cylinder glued onto a ball are built here as generic based chain complexes,
@@ -48,7 +48,7 @@ def free_positions(word):
 
 
 def boundary_word(word):
-    """Boundary chain of a cell as a list of (coefficient, face)."""
+    """Boundary chain of a cell as a list of (coefficient, face); the faces are distinct."""
     out = []
     for j, i in enumerate(free_positions(word)):
         sign = -1 if j % 2 else 1
@@ -92,9 +92,8 @@ def serre_diagonal_word(word):
 
 @dataclass(frozen=True)
 class CubicalComplex:
-    """A downward closed set of cells of the N-cube."""
+    """A downward closed set of cells of a cube; the cells' words state its dimension."""
 
-    ambient: int
     cells: frozenset
 
     @property
@@ -106,31 +105,23 @@ class CubicalComplex:
         return sorted((w for w in self.cells if w not in non_max), key=lambda w: (cell_dim(w), w))
 
     def union(self, other):
-        self._same_ambient(other)
-        return CubicalComplex(self.ambient, self.cells | other.cells)
+        return CubicalComplex(self.cells | other.cells)
 
     def intersection(self, other):
-        self._same_ambient(other)
-        return CubicalComplex(self.ambient, self.cells & other.cells)
-
-    def _same_ambient(self, other):
-        if self.ambient != other.ambient:
-            raise UserInputError("ambient cube dimensions differ")
+        return CubicalComplex(self.cells & other.cells)
 
 
 def cube_complex(n):
     """The full n-cube."""
-    if n == 0:
-        return CubicalComplex(0, frozenset({""}))
     words = ("".join(w) for w in iproduct("01*", repeat=n))
-    return CubicalComplex(n, frozenset(words))
+    return CubicalComplex(frozenset(words))
 
 
 def facet_complex(n, pos, digit):
     """The facet {x_pos = digit} of the n-cube; pos is 0-based."""
     full = cube_complex(n)
     d = str(digit)
-    return CubicalComplex(n, frozenset(w for w in full.cells if w[pos] == d))
+    return CubicalComplex(frozenset(w for w in full.cells if w[pos] == d))
 
 
 def corner_faces_complex(n, digit):
@@ -140,7 +131,7 @@ def corner_faces_complex(n, digit):
     """
     full = cube_complex(n)
     d = str(digit)
-    return CubicalComplex(n, frozenset(w for w in full.cells if d in w))
+    return CubicalComplex(frozenset(w for w in full.cells if d in w))
 
 
 def is_regular_sequence(pieces):
@@ -227,12 +218,7 @@ class ChainBasis:
 
 def complex_basis(complex_):
     dims = {w: cell_dim(w) for w in complex_.cells}
-    bnd = {}
-    for w in complex_.cells:
-        acc = {}
-        for coeff, f in boundary_word(w):
-            acc[f] = acc.get(f, 0) + coeff
-        bnd[w] = acc
+    bnd = {w: {f: coeff for coeff, f in boundary_word(w)} for w in complex_.cells}
     return ChainBasis(dims, bnd, serre_diagonal_word)
 
 
@@ -266,7 +252,7 @@ class Ball:
 
 
 def point_ball():
-    return Ball(complex_basis(cube_complex(0)), "pt")
+    return cube_ball(0)
 
 
 @cache
@@ -277,11 +263,11 @@ def cube_ball(n):
 @cache
 def corner_ball(n, digit=0):
     """The (n-1)-ball formed by the facets of the n-cube through a corner."""
-    return Ball(complex_basis(corner_faces_complex(n, digit)), f"corner({n},{digit})")
+    return face_ball_of(cube_ball(n), corner_faces_complex(n, digit).cells, f"corner({n},{digit})")
 
 
 def facet_ball(n, pos, digit):
-    return Ball(complex_basis(facet_complex(n, pos, digit)), f"facet({n},{pos},{digit})")
+    return face_ball_of(cube_ball(n), facet_complex(n, pos, digit).cells, f"facet({n},{pos},{digit})")
 
 
 def face_ball_of(ball, cells, label=""):

@@ -301,7 +301,13 @@ class Presentation:
 
 
 def quotient_presentation(ambient_rank, relation_vectors, m):
-    """Present (Z/m)^ambient_rank modulo the span of the relation vectors."""
+    """Present (Z/m)^ambient_rank modulo the span of the relation vectors.
+
+    The free generators (order exponent k) come last, and each is represented
+    by a distinct unit vector with entry 1: the row reduction changes a column
+    of the inverse transform only at that column's own pivot step, and free
+    generators are the columns past the last pivot.
+    """
     p, k = prime_power(m)
     rels = [list(v) for v in relation_vectors]
     R = [[rels[g][i] % m for g in range(len(rels))] for i in range(ambient_rank)]

@@ -46,7 +46,7 @@ class MorphismSequence:
         for t, f in enumerate(seq.maps):
             if f.src != seq.modules[t + 1] or f.dst != seq.modules[t]:
                 raise UserInputError(f"map {t + 1} does not match the module chain")
-            if len(f.ball.basis.cells()) != 1:
+            if list(f.ball.basis.dims.values()) != [0]:
                 raise UserInputError("sequence maps must live over the point")
         return seq
 

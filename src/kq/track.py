@@ -9,8 +9,9 @@ TrackMorphism.tainted, and every constructor here sets it to cover the
 morphisms and products it was built from.  Composition goes
 through the diagonal of the base, gluing is union of value tables, and
 homotopies live over chain-level cylinders.  Every change of base is a
-pullback along a chain map: restriction along an inclusion, the constant
-homotopy along the projection of its cylinder, and the action of a
+pullback along a chain map: restriction along an inclusion, the injection
+onto a face of a larger cube along the inverse of the face inclusion, the
+constant homotopy along the projection of its cylinder, and the action of a
 homotopy on a face along the sweep of that face across the homotopy's own
 cylinder, glued onto the ball (cubical.AttachedCylinder).  Extensions,
 homotopy tests and each stage of the Toda tower (kq.toda) are all instances
@@ -90,10 +91,9 @@ def pt_morphism(ball, Q, src, dst, entries):
 
     entries: dict (target index j, source index i) -> sparse algebra vector.
     """
-    cells = ball.basis.cells_of_dim(0)
-    if len(ball.basis.cells()) != 1:
+    if list(ball.basis.dims.values()) != [0]:
         raise UserInputError("pt_morphism needs the one-cell base")
-    cell = cells[0]
+    (cell,) = ball.basis.dims
     values = {}
     for i in range(src.size):
         vec = {(j, q): c % Q.m for (j, ii), row in entries.items() if ii == i for q, c in row.items() if c % Q.m}
@@ -165,8 +165,7 @@ def glue(pieces, ball):
     if not pieces:
         raise UserInputError("nothing to glue")
     src, dst, Q = pieces[0].src, pieces[0].dst, pieces[0].Q
-    values = {}
-    owner = set()
+    first = {}  # (cell, generator) -> the first value seen there, zero included
     for f in pieces:
         if f.src != src or f.dst != dst:
             raise UserInputError("glued pieces must share modules")
@@ -175,18 +174,11 @@ def glue(pieces, ball):
                 raise UserInputError(f"piece cell {cell!r} outside the glued ball")
             for i in range(src.size):
                 v = f.value(cell, i)
-                if (cell, i) in owner:
-                    if values.get((cell, i), {}) != v:
-                        raise UserInputError(f"face mismatch when gluing at {cell!r}")
-                else:
-                    owner.add((cell, i))
-                    if v:
-                        values[(cell, i)] = v
-    covered = set()
-    for f in pieces:
-        covered.update(f.ball.basis.dims)
-    if covered != set(ball.basis.dims):
+                if first.setdefault((cell, i), v) != v:
+                    raise UserInputError(f"face mismatch when gluing at {cell!r}")
+    if set().union(*(f.ball.basis.dims for f in pieces)) != set(ball.basis.dims):
         raise UserInputError("glued pieces do not cover the target ball")
+    values = {k: v for k, v in first.items() if v}
     flag = any(f.tainted for f in pieces)
     return TrackMorphism(ball, src, dst, Q, values, flag)
 
@@ -197,8 +189,7 @@ def product_ball(b1, b2):
         if any(ch not in "01*" for c in b.basis.dims for ch in c):
             raise UserInputError("tensor products need cubical bases")
     words = frozenset(x + y for x in b1.basis.dims for y in b2.basis.dims)
-    prod = CubicalComplex(max(map(len, words), default=0), words)
-    return Ball(complex_basis(prod), f"{b1.label}x{b2.label}")
+    return Ball(complex_basis(CubicalComplex(words)), f"{b1.label}x{b2.label}")
 
 
 def tensor(g, f):
@@ -223,16 +214,13 @@ def tensor(g, f):
 
 
 def inject_cubical(f, position, digit, ambient_ball):
-    """Pushforward along the face inclusion inserting a fixed digit."""
-    d = str(digit)
-    values = {}
-    cells = []
-    for (c, i), v in f.values.items():
-        values[(c[:position] + d + c[position:], i)] = v
-    for c in f.ball.basis.cells():
-        cells.append(c[:position] + d + c[position:])
-    sub = Ball(ambient_ball.basis.subbasis(cells), f"{f.ball.label}@{position}:{digit}")
-    return TrackMorphism(sub, f.src, f.dst, f.Q, values, f.tainted)
+    """f moved onto the face of ambient_ball where a fixed digit sits at position.
+
+    The pullback along the inverse of the face inclusion, which inserts the digit.
+    """
+    cells = [c[:position] + str(digit) + c[position:] for c in f.ball.basis.dims]
+    face = face_ball_of(ambient_ball, cells, f"{f.ball.label}@{position}:{digit}")
+    return pullback(f, {c: {c[:position] + c[position + 1 :]: 1} for c in cells}, face)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_regular_sequence_validation():
     assert not is_regular_sequence([facet_complex(2, 0, 0), cube_complex(2)])  # dimensions 1 and 2
     # the square x0 = 1 with the stray vertex 000 meets the square x2 = 0 in the
     # edge 1*0 and the vertex 000: nonempty, but not pure of dimension one
-    with_vertex = facet_complex(3, 0, 1).union(CubicalComplex(3, frozenset({"000"})))
+    with_vertex = facet_complex(3, 0, 1).union(CubicalComplex(frozenset({"000"})))
     assert with_vertex.intersection(facet_complex(3, 2, 0)).maximal_cells() == ["000", "1*0"]
     assert not is_regular_sequence([facet_complex(3, 2, 0), with_vertex])
     assert is_regular_sequence([facet_complex(3, 2, 0), facet_complex(3, 0, 1)])

@@ -252,6 +252,21 @@ def test_quotient_presentation_counts_by_enumeration():
             assert len(set(seen.values())) == len(classes)
 
 
+@pytest.mark.parametrize("m", [2, 4, 8, 9, 27])
+def test_free_generators_are_distinct_basis_vectors(m):
+    # truncate names each free generator by the basis element it is
+    _, k = prime_power(m)
+    rng = random.Random(m)
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        rels = [[rng.choice([0, 0, rng.randrange(m)]) for _ in range(n)] for _ in range(rng.randrange(0, 6))]
+        pres = quotient_presentation(n, rels, m)
+        free = [rep for rep, e in zip(pres.reps, pres.order_exps) if e == k]
+        assert pres.order_exps[pres.rank - len(free) :] == (k,) * len(free)
+        assert all(sorted(rep) == [0] * (n - 1) + [1] for rep in free)
+        assert len({rep.index(1) for rep in free}) == len(free)
+
+
 def test_subquotient_presentation_z4():
     # submodule of (Z/4)^2 generated by (2,0) and (0,1), relations (0,2)
     pres = subquotient_presentation([(2, 0), (0, 1)], [(0, 2)], 2, 4)

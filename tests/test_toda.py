@@ -4,7 +4,7 @@ import pytest
 
 import kq.toda
 from kq.chain_algebra import ChainAlgebra, GradedModule, NatSystem, homology
-from kq.cubical import corner_ball, cube_ball, point_ball
+from kq.cubical import Ball, ChainBasis, corner_ball, cube_ball, point_ball
 from kq.documents import parse_algebra, parse_sequence
 from kq.errors import UserInputError
 from kq.oracle_support import EnumerationBudget
@@ -19,7 +19,7 @@ from kq.toda import (
     DEFINED,
     NOT_CONSTRUCTIBLE,
 )
-from kq.track import pt_morphism
+from kq.track import pt_morphism, zero_morphism
 
 from conftest import make_massey_algebra
 from randalg import bracket_instances, budget_feasible, random_valid_algebra
@@ -41,6 +41,14 @@ def abc_sequence(qm):
     fb = pt_morphism(pt, qm, L2, L1, {(0, 0): {"b": 1}})
     fc = pt_morphism(pt, qm, L3, L2, {(0, 0): {"c": 1}})
     return MorphismSequence.of([L0, L1, L2, L3], [fa, fb, fc])
+
+
+def test_sequence_maps_need_the_point(qm):
+    L0 = GradedModule.of([("w", 0)])
+    L1 = GradedModule.of([("z1", 1)])
+    edge = Ball(ChainBasis({"*": 1}, {}))
+    with pytest.raises(UserInputError, match="^sequence maps must live over the point$"):
+        MorphismSequence.of([L0, L1], [zero_morphism(edge, L1, L0, qm)])
 
 
 def test_massey_product_of_abc(qm):

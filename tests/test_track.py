@@ -1,9 +1,12 @@
 import random
+import zlib
 
 import pytest
 
 from kq.chain_algebra import GradedModule, NatSystem, homology, vec_add
 from kq.cubical import (
+    Ball,
+    ChainBasis,
     corner_ball,
     cube_ball,
     cylinder_ball,
@@ -108,7 +111,7 @@ def test_composition_associative_random(ball_name, qm):
         "T1": corner_ball(2, 0),
     }
     ball = balls[ball_name]
-    rng = random.Random(hash(ball_name) % 1000)
+    rng = random.Random(zlib.crc32(ball_name.encode()))
     L3 = GradedModule.of([("p", 3)])
     L2 = GradedModule.of([("q", 2)])
     L1 = GradedModule.of([("r", 1)])
@@ -168,6 +171,46 @@ def test_glue_face_mismatch_rejected(qm):
     piece1 = restrict(zero_morphism(ball, L, M, qm), edge1)
     with pytest.raises(UserInputError):
         glue([piece0, piece1], ball)
+
+
+def test_glue_needs_pieces(qm):
+    with pytest.raises(UserInputError, match="^nothing to glue$"):
+        glue([], corner_ball(2, 0))
+
+
+def test_glue_pieces_must_share_modules(qm):
+    ball = corner_ball(2, 0)
+    L = GradedModule.of([("u", 1)])
+    M = GradedModule.of([("w", 0)])
+    piece0 = restrict(zero_morphism(ball, L, M, qm), facet_complex(2, 0, 0).cells)
+    piece1 = restrict(zero_morphism(ball, L, L, qm), facet_complex(2, 1, 0).cells)
+    with pytest.raises(UserInputError, match="^glued pieces must share modules$"):
+        glue([piece0, piece1], ball)
+
+
+def test_glue_piece_outside_the_ball(qm):
+    L = GradedModule.of([("u", 1)])
+    M = GradedModule.of([("w", 0)])
+    piece = zero_morphism(cube_ball(2), L, M, qm)
+    with pytest.raises(UserInputError, match="^piece cell '11' outside the glued ball$"):
+        glue([piece], corner_ball(2, 0))
+
+
+def test_glue_pieces_must_cover_the_ball(qm):
+    ball = corner_ball(2, 0)
+    L = GradedModule.of([("u", 1)])
+    M = GradedModule.of([("w", 0)])
+    piece = restrict(zero_morphism(ball, L, M, qm), facet_complex(2, 0, 0).cells)
+    with pytest.raises(UserInputError, match="^glued pieces do not cover the target ball$"):
+        glue([piece], ball)
+
+
+def test_pt_morphism_needs_one_vertex(qm):
+    L = GradedModule.of([("u", 1)])
+    M = GradedModule.of([("w", 0)])
+    edge = Ball(ChainBasis({"*": 1}, {}))
+    with pytest.raises(UserInputError, match="^pt_morphism needs the one-cell base$"):
+        pt_morphism(edge, qm, L, M, {(0, 0): {"a": 1}})
 
 
 def test_tensor_with_point_factor_is_counit_composition(qm):

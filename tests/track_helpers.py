@@ -306,4 +306,4 @@ def opposite_face(ball, face_cells):
 
 def cube_boundary_complex(n):
     """All proper faces of the n-cube."""
-    return CubicalComplex(n, frozenset(w for w in cube_complex(n).cells if any(ch != FREE for ch in w)))
+    return CubicalComplex(frozenset(w for w in cube_complex(n).cells if any(ch != FREE for ch in w)))
