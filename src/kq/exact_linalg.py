@@ -4,7 +4,10 @@ Everything in the engine reduces to affine systems over Z/p^k.  They are
 solved through the Howell form, the analogue of reduced row echelon form for
 Z/m, which is unique for a given row span: kernel bases are Howell bases and
 particular solutions are canonical coset representatives, so every solution
-set is reproducible bit for bit whatever way it was found.
+set is reproducible bit for bit whatever way it was found.  An operator is
+reduced once, by factor, and each right-hand side then costs two reductions
+against the stored bases; solve_dense is factor(A, m, cols).solve(b), the
+one solver path.
 
 Module presentations use a row-only Smith reduction.  Over a local ring like
 Z/p^k it needs no gcd iteration: once a pivot of minimal p-adic valuation is
@@ -143,6 +146,7 @@ def howell_form(vectors, width, m):
     p, k = prime_power(m)
     pool = _with_leading([x % m for x in v] for v in vectors)
     result = []
+    pivots = []
     for j in range(width):
         cands = [r for lead, r in pool if lead == j]
         rest = [(lead, r) for lead, r in pool if lead > j]
@@ -162,24 +166,29 @@ def howell_form(vectors, width, m):
         if a > 0:
             new.append([(x * p ** (k - a)) % m for x in piv])
         result.append(piv)
+        pivots.append((j, p**a))
         pool = rest + _with_leading(new)
     # back-reduction: entries above each pivot are reduced modulo the pivot
     for idx in range(len(result) - 1, -1, -1):
-        result[idx] = howell_reduce(result[idx], result[idx + 1 :], m)
+        result[idx] = howell_reduce(result[idx], result[idx + 1 :], m, pivots[idx + 1 :])
     return tuple(result)
 
 
-def howell_reduce(vec, basis, m):
-    """Canonical coset representative of vec modulo the span of a Howell basis."""
-    p, k = prime_power(m)
+def _pivots(basis):
+    """(leading index, pivot entry) of each row of a Howell basis; each pivot is a power of p."""
+    return tuple((j, row[j]) for j, row in ((_leading(row), row) for row in basis))
+
+
+def howell_reduce(vec, basis, m, pivots=None):
+    """Canonical coset representative of vec modulo the span of a Howell basis.
+
+    pivots, if given, is _pivots(basis), computed once for many vectors.
+    """
     v = [x % m for x in vec]
-    for row in basis:
-        j = _leading(row)
-        a = padic_val(row[j], p, k)
-        q = v[j] // (p**a)
+    for row, (j, piv) in zip(basis, _pivots(basis) if pivots is None else pivots):
+        q = v[j] // piv
         if q:
-            for t in range(len(v)):
-                v[t] = (v[t] - q * row[t]) % m
+            v[j:] = [(x - q * y) % m for x, y in zip(v[j:], row[j:])]
     return tuple(v)
 
 
@@ -213,38 +222,68 @@ def combine(start, coeffs, vectors, m):
     return tuple(out)
 
 
-def solve_dense(A, b, m, cols=None):
-    """Solve A x = b over Z/m for dense A; returns AffineSolutionSet or None.
+@dataclass(frozen=True)
+class LinearFactor:
+    """A over Z/m reduced once, to solve A x = b for any number of b.
 
-    cols must be passed explicitly when A has no rows.  Rows of A that are
-    zero only check their right-hand side.  The Howell form of the rows
-    (A e_j, e_j) spans the graph {(Ax, x)}: reducing (b, 0) by it leaves
-    (0, -x) for a solution x exactly when one exists, and its rows that
-    start in the x part are already the Howell basis of the kernel.
+    live and dead are the indices of the nonzero and the zero rows of A.
+    graph is the Howell form of the rows (A e_j, e_j) over the live rows: it
+    spans {(Ax, x)}, so reducing (b, 0) by it leaves (0, -x) for a solution x
+    exactly when one exists, and its rows that start in the x part are
+    already the Howell basis of the kernel.  The pivots of both are kept.
     """
-    rows = len(A)
-    if cols is None:
-        cols = len(A[0]) if rows else 0
-    if len(b) != rows:
-        raise UserInputError("dimension mismatch in solve")
-    live = []
-    for i in range(rows):
-        if any(x % m for x in A[i]):
-            live.append(i)
-        elif b[i] % m:
+
+    m: int
+    cols: int
+    live: tuple
+    dead: tuple
+    graph: tuple
+    graph_pivots: tuple
+    kernel_basis: tuple
+    kernel_pivots: tuple
+
+    def solve(self, b):
+        """All solutions of A x = b as an AffineSolutionSet, or None if there is none."""
+        if len(b) != len(self.live) + len(self.dead):
+            raise UserInputError("dimension mismatch in solve")
+        m = self.m
+        if any(b[i] % m for i in self.dead):
             return None
+        r = len(self.live)
+        red = howell_reduce([b[i] for i in self.live] + [0] * self.cols, self.graph, m, self.graph_pivots)
+        if any(red[:r]):
+            return None
+        part = howell_reduce([-x for x in red[r:]], self.kernel_basis, m, self.kernel_pivots)
+        return AffineSolutionSet(part, self.kernel_basis, m)
+
+
+def factor(A, m, cols=None):
+    """The LinearFactor of dense A over Z/m; cols must be passed when A has no rows."""
+    if cols is None:
+        cols = len(A[0]) if A else 0
+    live, dead = [], []
+    for i, row in enumerate(A):
+        (live if any(x % m for x in row) else dead).append(i)
     r = len(live)
     graph = howell_form(
         [[A[i][j] for i in live] + [int(t == j) for t in range(cols)] for j in range(cols)],
         r + cols,
         m,
     )
-    red = howell_reduce([b[i] for i in live] + [0] * cols, graph, m)
-    if any(red[:r]):
-        return None
-    basis = tuple(g[r:] for g in graph if _leading(g) >= r)
-    part = howell_reduce([-x for x in red[r:]], basis, m)
-    return AffineSolutionSet(part, basis, m)
+    pivots = _pivots(graph)
+    top = sum(j < r for j, _ in pivots)  # the rows past these start in the x part
+    kernel = tuple(g[r:] for g in graph[top:])
+    kernel_pivots = tuple((j - r, piv) for j, piv in pivots[top:])
+    return LinearFactor(m, cols, tuple(live), tuple(dead), graph, pivots, kernel, kernel_pivots)
+
+
+def solve_dense(A, b, m, cols=None):
+    """Solve A x = b over Z/m for dense A; returns AffineSolutionSet or None.
+
+    This is factor(A, m, cols).solve(b): a caller with one A and many b
+    keeps the factor instead.
+    """
+    return factor(A, m, cols).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +304,8 @@ class Presentation:
     order_exps: tuple
     reps: tuple
     _proj: tuple = field(repr=False)  # rows of the coordinate map
-    _embed: tuple = field(repr=False, default=None)  # sub-generators, or None
+    # the LinearFactor of the sub-generators as columns, or None for a quotient
+    _embed: LinearFactor = field(repr=False, default=None, compare=False)
 
     @property
     def rank(self):
@@ -282,11 +322,7 @@ class Presentation:
     def coords(self, vec):
         p, k = prime_power(self.m)
         if self._embed is not None:
-            sol = solve_dense(
-                [[self._embed[g][i] for g in range(len(self._embed))] for i in range(self.ambient_rank)],
-                list(vec),
-                self.m,
-            )
+            sol = self._embed.solve(vec)
             if sol is None:
                 raise UserInputError("vector does not lie in the presented submodule")
             vec = sol.particular
@@ -336,15 +372,13 @@ def subquotient_presentation(sub_gens, relation_vectors, ambient_rank, m):
     if not subs:
         return Presentation(m, ambient_rank, (), (), (), _embed=None)
     s = len(subs)
-    K = [[subs[g][i] for g in range(s)] for i in range(ambient_rank)]
-    inner_rels = []
-    ker = solve_dense(K, [0] * ambient_rank, m)
-    inner_rels.extend(list(v) for v in ker.kernel_basis)
+    embed = factor([[subs[g][i] for g in range(s)] for i in range(ambient_rank)], m, cols=s)
+    inner_rels = [list(v) for v in embed.kernel_basis]
     for b in relation_vectors:
-        sol = solve_dense(K, list(b), m)
+        sol = embed.solve(b)
         if sol is None:
             raise UserInputError("relation vector outside the submodule span")
         inner_rels.append(list(sol.particular))
     inner = quotient_presentation(s, inner_rels, m)
     reps = tuple(combine([0] * ambient_rank, r, subs, m) for r in inner.reps)
-    return Presentation(m, ambient_rank, inner.order_exps, reps, inner._proj, _embed=tuple(subs))
+    return Presentation(m, ambient_rank, inner.order_exps, reps, inner._proj, _embed=embed)

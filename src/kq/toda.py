@@ -7,12 +7,14 @@ the top cell, solved from d a(i,k) = sum_{r<k} (-1)^(r+1) a(i,r) a(i+r+1,k-1-r)
 with products of top cells and a(i,0) the i-th map; the sign is that of the
 facet with a 0 in slot r+1.  Each stage is one call of the track solver,
 solve_for_values, on the one-cell ball *^k with the corner sum as its
-right-hand side.  The bracket is the class of (-1)^(n+1) times the
-level-(n+1) sum for index 1.  Every solver choice is logged and can be
-replayed.  One depth-first walker over the choice tree serves every entry
-point: the bracket and adams-d follow one branch, the oracle visits every
-leaf to produce the exact bracket set, and the chain-complex search stops at
-the first coherent leaf.
+right-hand side.  Its operator depends only on the target module, the
+source degree and the level, so a walk keeps one reduced operator per
+(dst, deg, k) and solves every corner sum against it.  The bracket is the
+class of (-1)^(n+1) times the level-(n+1) sum for index 1.  Every solver
+choice is logged and can be replayed.  One depth-first walker over the
+choice tree serves every entry point: the bracket and adams-d follow one
+branch, the oracle visits every leaf to produce the exact bracket set, and
+the chain-complex search stops at the first coherent leaf.
 """
 
 from dataclasses import dataclass, field
@@ -77,10 +79,16 @@ class HigherChainComplex:
 
 @dataclass
 class _Tower:
-    """Nullhomotopy data with the choice log that built it."""
+    """Nullhomotopy data with the choice log that built it.
+
+    operators holds the operator half of every stage solved so far in this
+    walk, one per (dst, source degree, level k): start makes a fresh dict,
+    and with_level hands it on to every tower below.
+    """
 
     data: dict  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
     log: list = field(default_factory=list)
+    operators: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def start(seq, prescribed=None):
@@ -115,11 +123,12 @@ class _Tower:
         top = "*" * k
         ball = Ball(ChainBasis({top: k}, {}), top)
         rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
-        return solve_for_values(ball, self.data[(i, 0)].Q, src, dst, {}, [top], rhs=rhs, tainted=tainted)
+        Q = self.data[(i, 0)].Q
+        return solve_for_values(ball, Q, src, dst, {}, [top], rhs=rhs, tainted=tainted, operators=self.operators)
 
     def with_level(self, i, k, res):
         data = {**self.data, (i, k): res.morphism}
-        return _Tower(data, self.log + res.choice_log(f"level {k} index {i}"))
+        return _Tower(data, self.log + res.choice_log(f"level {k} index {i}"), self.operators)
 
     def tainted(self):
         return any(m.tainted for m in self.data.values())

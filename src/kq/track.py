@@ -35,7 +35,7 @@ from .cubical import (
     orientation_sign,
 )
 from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
-from .exact_linalg import solve_dense
+from .exact_linalg import factor
 
 
 @dataclass
@@ -294,35 +294,57 @@ class SolveResult:
         return out
 
 
-def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None, tainted=False):
+def _operator(basis, Q, dst, deg, unknown_cells):
+    """The operator half of one solve: its slots, its rows and the LinearFactor of its matrix.
+
+    The matrix takes the values on the unknown cells, for a source generator
+    of degree deg, to d f(c) - f(dc) on every cell they touch.
+    """
+    cofaces = defaultdict(list)
+    for x in basis.cells():
+        for c, w in basis.boundary_of(x).items():
+            cofaces[c].append((x, w))
+    slots = [(c, key) for c in unknown_cells for key in pair_basis(dst, Q, deg, basis.dim(c))]
+    entries = defaultdict(dict)  # row (cell, key) -> {slot: coefficient}
+    for t, (c, (j, q)) in enumerate(slots):  # d(e_key) at c, minus the incidence at each coface
+        for x, v in Q.d_of(q).items():
+            entries[(c, (j, x))][t] = v
+        for x, w in cofaces[c]:
+            entries[(x, (j, q))][t] = -w
+    touched = {*unknown_cells, *(cell for cell, _ in entries)}
+    rows = [(c, key) for c in basis.cells() if c in touched for key in pair_basis(dst, Q, deg, basis.dim(c) - 1)]
+    A = [[entries.get(r, {}).get(t, 0) % Q.m for t in range(len(slots))] for r in rows]
+    return slots, rows, factor(A, Q.m, cols=len(slots))
+
+
+def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None, tainted=False, operators=None):
     """The values on unknown cells with d f(c) - f(dc) = rhs(c) on every cell.
 
     prescribed: dict (cell, generator) -> vector on the known cells.
     rhs: dict (cell, generator) -> vector, zero where absent.
     tainted: whether a window cut occurred in prescribed or rhs, the result's taint.
+    operators: a dict for the operator half of the solve, keyed by
+    (dst, source degree, unknown cells).  That half depends neither on
+    prescribed nor on rhs, so it is built once per degree and key; a caller
+    may pass one dict to many calls over one algebra and equal balls, and
+    without it each call starts a fresh one.  A right-hand side that is
+    nonzero on a row outside the operator's rows has no solution.
     Returns (SolveResult, None) or (None, certificate).  The SolveResult is
     the solution set: the prescribed values and one solved block per
     generator.  No member is built; SolveResult.instantiate builds one.
     """
     basis = ball.basis
-    unknown_cells = sorted(unknown_cells, key=lambda c: (basis.dim(c), c))
+    unknown_cells = tuple(sorted(unknown_cells, key=lambda c: (basis.dim(c), c)))
     if any(c in unknown_cells for c, _ in prescribed):
         raise InternalInvariantError("prescribed value on an unknown cell")
     rhs = rhs or {}
-    cofaces = defaultdict(list)
-    for x in basis.cells():
-        for c, w in basis.boundary_of(x).items():
-            cofaces[c].append((x, w))
+    operators = {} if operators is None else operators
     blocks = []
     for i in range(src.size):
         deg = src.degree(i)
-        slots = [(c, key) for c in unknown_cells for key in pair_basis(dst, Q, deg, basis.dim(c))]
-        entries = defaultdict(dict)  # row (cell, key) -> {slot: coefficient}
-        for t, (c, (j, q)) in enumerate(slots):  # d(e_key) at c, minus the incidence at each coface
-            for x, v in Q.d_of(q).items():
-                entries[(c, (j, x))][t] = v
-            for x, w in cofaces[c]:
-                entries[(x, (j, q))][t] = -w
+        if (dst, deg, unknown_cells) not in operators:
+            operators[(dst, deg, unknown_cells)] = _operator(basis, Q, dst, deg, unknown_cells)
+        slots, rows, fac = operators[(dst, deg, unknown_cells)]
         const = {}  # row -> rhs(c) - d known(c) + known(dc)
         for cell in basis.cells():
             acc = rhs.get((cell, i), {})
@@ -332,10 +354,8 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None, tai
                 if (face, i) in prescribed:
                     acc = vec_add(acc, prescribed[(face, i)], Q.m, scale=w)
             const.update(((cell, key), v) for key, v in acc.items())
-        touched = {*unknown_cells, *(cell for cell, _ in entries), *(cell for cell, _ in const)}
-        rows = [(c, key) for c in basis.cells() if c in touched for key in pair_basis(dst, Q, deg, basis.dim(c) - 1)]
-        A = [[entries.get(r, {}).get(t, 0) % Q.m for t in range(len(slots))] for r in rows]
-        sol = solve_dense(A, [const.get(r, 0) for r in rows], Q.m, cols=len(slots))
+        b = [const.pop(r, 0) for r in rows]
+        sol = None if any(v % Q.m for v in const.values()) else fac.solve(b)
         if sol is None:
             cert = {
                 "generator": src.name(i),

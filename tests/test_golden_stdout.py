@@ -36,6 +36,9 @@ INDETERMINACY_CASES = ((0, 0), (13, 2), (22, 2), (27, 0))
 # over a second; their toda and adams-d commands stay in the table
 SLOW_SEARCHES = {(3, 9, True)}
 
+# budgets for the oracle, chain-complex and adams-d walks on universal-3-4-z
+BUDGET_LADDER = (1, 5, 40, 300, 1000)
+
 
 def window_cut(doc, r_max):
     """doc with rMax lowered to r_max and every entry touching the elements above it left out."""
@@ -110,6 +113,14 @@ def cases(work):
                     out[f"{command} {stem}"] = [command, "--algebra", alg, "--sequence", seq, "--n", str(order)]
                 for level in range(1, order):  # below the top level, so products are projected
                     out[f"truncate --n {level} {stem}"] = ["truncate", "--algebra", alg, "--n", str(level)]
+
+    # the tower-walk shape under a ladder of budgets: the budget error prints
+    # the spent count, so these pin the order in which the walk charges states
+    stem = "universal-3-4-z"
+    common = ["--algebra", str(work / f"{stem}.json"), "--sequence", str(work / f"{stem}-seq.json"), "--n", "3"]
+    for command in ("oracle", "chain-complex", "adams-d"):
+        for budget in BUDGET_LADDER:
+            out[f"{command} --budget {budget} {stem}"] = [command, *common, "--budget", str(budget)]
 
     # the order-1 bracket on an algebra whose window cuts the bracket's products
     rng = random.Random(3)

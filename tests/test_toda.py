@@ -403,6 +403,38 @@ def test_walk_solves_each_state_once(walk, monkeypatch):
     assert calls["solve"] == calls["enumerate"]
 
 
+@pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
+def test_walk_factors_each_operator_once(walk, monkeypatch):
+    # the shape of the tower-walk benchmark: order 3 over Z/4 with a free cycle
+    rng = random.Random(1)
+    algebra, _ = parse_algebra(universal.algebra_doc(3, 4, rng, free_cycle=True))
+    seq = parse_sequence(universal.sequence_doc(3, universal.draw_units(3, 4, rng)), algebra)
+    solve, factor = kq.toda._Tower.solve, kq.track.factor
+    seen = {"solves": 0, "builds": 0, "operators": set()}
+
+    def counted_solve(tower, i, k):
+        # stage (i, k) maps X_(i+k) to X_(i-1): one operator per source degree
+        src = seq.modules[i + k]
+        seen["operators"].update((seq.modules[i - 1], src.degree(g), k) for g in range(src.size))
+        seen["solves"] += 1
+        return solve(tower, i, k)
+
+    def counted_factor(*args, **kwargs):
+        seen["builds"] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(kq.toda._Tower, "solve", counted_solve)
+    monkeypatch.setattr(kq.track, "factor", counted_factor)
+    for _ in range(2):  # a second walk builds its operators again: nothing outlives a walk
+        seen.update(solves=0, builds=0, operators=set())
+        if walk == "oracle":
+            assert oracle_bracket_set(algebra, seq, 3)
+        else:
+            build_chain_complex(algebra, seq, 3)
+        assert seen["builds"] == len(seen["operators"]) == 9
+        assert seen["solves"] > 100 * seen["builds"]
+
+
 def test_standard_balls_are_shared_and_stay_pristine():
     assert cube_ball(2) is cube_ball(2)
     assert corner_ball(3, 0) is corner_ball(3, 0)

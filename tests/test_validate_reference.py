@@ -169,3 +169,47 @@ def test_declaration_violations_are_reported_once(label):
     # an escaping or truncated product is not checked for its bidegrees as well
     assert [v for v in report if v["detail"] == "product does not add bidegrees"] == []
     assert report == reference(q)
+
+
+def _unit_hit_algebra():
+    """b in bidegree (0,1) with d(b) = 1, over Z/3.
+
+    Leibniz for (a, b) reads d(a*b) = a*d(b) = a*1 = a, so the pair matters
+    through the unit row a*1 and the b that hits the unit.
+    """
+    elements = [("1", 0, 0), ("b", 0, 1), ("a", 1, 0), ("c", 1, 1)]
+    diff = {"b": {"1": 1}, "c": {"a": 1}}
+    mul = {("a", "b"): {"c": 1}, ("b", "a"): {"c": 1}}
+    return ChainAlgebra(3, 1, 1, elements, "1", diff, mul)
+
+
+def _unit_row_cases():
+    """Clean and corrupted algebras whose unit rows carry Leibniz or associativity."""
+    out = {}
+    q = _unit_hit_algebra()
+    out["unit-hit-by-b"] = q
+    # with a*b gone, (a, b) and (c, b) break Leibniz, and only b hitting the unit reaches them
+    q = _unit_hit_algebra()
+    del q.mul[("a", "b")]
+    out["unit-hit-by-b-corrupted"] = q
+    # declared products that restate unit rows override the default unit law
+    q = _unit_hit_algebra()
+    q.mul[("1", "c")] = {"c": 1}
+    q.mul[("a", "1")] = {"a": 1}
+    out["declared-unit-row"] = q
+    q = _unit_hit_algebra()
+    q.mul[("1", "c")] = {"c": 2}
+    q.mul[("a", "1")] = {"a": 1}
+    out["declared-unit-row-corrupted"] = q
+    return out
+
+
+@pytest.mark.parametrize("label", sorted(_unit_row_cases()))
+def test_unit_rows_match_reference(label):
+    q = _unit_row_cases()[label]
+    want = reference(q)
+    if label.endswith("-corrupted"):
+        assert any(v["axiom"] in ("leibniz", "associativity") for v in want)
+    else:
+        assert want == []
+    assert q.validate() == want
