@@ -324,26 +324,25 @@ def homology(Q, k):
 
 
 def truncate(Q, n2):
-    """The lower truncation: the top level becomes Q_n2 / d(Q_{n2+1}).
+    """The lower truncation: the sub-algebra on the names it keeps.
 
-    Requires every quotient level to be a free Z/m module; a torsion quotient
-    (possible over Z/p^2) is reported as an error carrying the presentation.
-    The new top level keeps, under their own names, the level-n2 basis
-    elements that the Smith reduction leaves free (see quotient_presentation).
+    Every name below level n2 is kept.  The top level becomes
+    Q_n2 / d(Q_{n2+1}), which must be a free Z/m module in each upper degree;
+    a torsion quotient (possible over Z/p^2) is reported as an error carrying
+    the presentation.  Its basis is the level-n2 names that the Smith
+    reduction leaves free (see quotient_presentation), under their own names.
+    The differential of a kept name lands below n2 and is read off Q as it
+    is.  Each declared product of two kept names inside r_max and up to
+    level n2 is Q's row projected onto the kept names; the unit law stays
+    implicit.
     """
     if not 0 <= n2 <= Q.n:
         raise UserInputError(f"cannot truncate {Q.n}-truncated algebra to level {n2}")
     if n2 == Q.n:
         return Q
     _, k = prime_power(Q.m)
-    elements = []
-    lifts = {}  # new basis name -> (representative in Q, r, s)
-    for name in Q.names:
-        r, s = Q.bidegree[name]
-        if s < n2:
-            elements.append((name, r, s))
-            lifts[name] = {name: 1}, r, s
-    projections = {}
+    elements = [(name, *Q.bidegree[name]) for name in Q.names if Q.bidegree[name][1] < n2]
+    tops = {}  # r -> (level-n2 basis of Q, its quotient presentation, the free names)
     for r in range(Q.r_max + 1):
         basis = Q.basis_at(r, n2)
         if not basis:
@@ -355,60 +354,27 @@ def truncate(Q, n2):
                 f"truncation level {n2} is not free in upper degree {r}",
                 detail={"r": r, "order_exponents": list(pres.order_exps)},
             )
-        projections[r] = (basis, pres)
-        for rep in pres.reps:  # a unit vector, since every generator is free
-            name = basis[rep.index(1)]
-            elements.append((name, r, n2))
-            lifts[name] = {name: 1}, r, n2
-
-    names_at = {}
-    for name, r, s in elements:
-        names_at.setdefault((r, s), []).append(name)
+        free = [basis[rep.index(1)] for rep in pres.reps]  # unit vectors, since every generator is free
+        tops[r] = basis, pres, free
+        elements.extend((name, r, n2) for name in free)
 
     def project(vec, r, s):
-        """Express a vector of the original algebra in the new basis."""
-        out = {}
-        if s < n2:
-            for x, v in vec.items():
-                out[x] = (out.get(x, 0) + v) % Q.m
-        elif s == n2 and r in projections:
-            basis, pres = projections[r]
-            dense = [vec.get(x, 0) % Q.m for x in basis]
-            for idx, c in enumerate(pres.coords(dense)):
-                if c:
-                    name = names_at[(r, n2)][idx]
-                    out[name] = c
-        return {x: v for x, v in out.items() if v}
+        """A vector of Q in bidegree (r, s), s <= n2, in the kept names."""
+        if s != n2:
+            return vec
+        basis, pres, free = tops[r]
+        coords = pres.coords([vec.get(x, 0) for x in basis])
+        return {name: c for name, c in zip(free, coords) if c}
 
-    diff = {}
+    diff = {name: Q.d_of(name) for name, _, _ in elements if Q.d_of(name)}
+    kept = {name for name, _, _ in elements}
     mul = {}
-    new_names = [e[0] for e in elements]
-    for name in new_names:
-        vec, r, s = lifts[name]
-        if s == 0:
+    for (a, b), row in Q.mul.items():
+        if not row or a not in kept or b not in kept or Q.unit in (a, b):
             continue
-        img = Q.elem_d(vec)
-        row = project(img, r, s - 1)
-        if row:
-            diff[name] = row
-    # only the pairs whose lifts contain partners can have a nonzero product
-    partners = Q.partners()
-    lifted_in = defaultdict(set)  # old basis name -> the new names whose lift contains it
-    for name in new_names:
-        for x in lifts[name][0]:
-            lifted_in[x].add(name)
-    position = {name: t for t, name in enumerate(new_names)}
-    for a in new_names:
-        va, ra, sa = lifts[a]
-        near = {b for x in va for y in partners[x] for b in lifted_in[y]}
-        for b in sorted(near, key=position.__getitem__):
-            vb, rb, sb = lifts[b]
-            if a == Q.unit or b == Q.unit or ra + rb > Q.r_max or sa + sb > n2:
-                continue
-            prod, _ = Q.elem_mul(va, vb)
-            row = project(prod, ra + rb, sa + sb)
-            if row:
-                mul[(a, b)] = row
+        (ra, sa), (rb, sb) = Q.bidegree[a], Q.bidegree[b]
+        if ra + rb <= Q.r_max and sa + sb <= n2:
+            mul[(a, b)] = project(row, ra + rb, sa + sb)
     out = ChainAlgebra(Q.m, n2, Q.r_max, elements, Q.unit, diff, mul)
     bad = out.validate()
     if bad:
@@ -483,11 +449,7 @@ class NatElem:
 
     @staticmethod
     def build(k, src, dst, entry_map):
-        ent = tuple(
-            (j, i, h)
-            for (j, i), h in sorted(entry_map.items())
-            if h is not None and not h.is_zero()
-        )
+        ent = tuple((j, i, h) for (j, i), h in sorted(entry_map.items()) if not h.is_zero())
         return NatElem(k, src, dst, ent)
 
     def is_zero(self):

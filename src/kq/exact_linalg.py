@@ -18,10 +18,12 @@ reproducible too.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import UserInputError
 
 
+@cache
 def prime_power(m):
     """Split m as p**k, raising if m is not a prime power."""
     if m < 2:

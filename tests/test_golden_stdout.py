@@ -40,6 +40,43 @@ SLOW_SEARCHES = {(3, 9, True)}
 BUDGET_LADDER = (1, 5, 40, 300, 1000)
 
 
+def hand_doc(modulus, truncation, r_max, basis, differential=(), products=()):
+    """An algebra document with the unit "1" in (0,0); products may declare empty rows."""
+    return {
+        "modulus": modulus,
+        "truncation": truncation,
+        "rMax": r_max,
+        "unit": "1",
+        "basis": [{"name": x, "r": r, "s": s} for x, r, s in (("1", 0, 0), *basis)],
+        "differential": [{"from": x, "to": [{"gen": g, "coeff": c} for g, c in to]} for x, to in differential],
+        "products": [
+            {"left": a, "right": b, "to": [{"gen": g, "coeff": c} for g, c in to]} for a, b, to in products
+        ],
+    }
+
+
+# (label, document, truncation level) of the edge cases of truncate
+HAND_TRUNCATIONS = (
+    # the unit law written out: 1*x and x*1 stay implicit in the truncation
+    (
+        "unit-product",
+        hand_doc(
+            2, 1, 2, [("x", 1, 0), ("xx", 2, 0), ("y", 1, 1)],
+            products=[("1", "x", [("x", 1)]), ("x", "1", [("x", 1)]), ("x", "x", [("xx", 1)])],
+        ),
+        0,
+    ),
+    # a*b = 0 declared, landing in (2,1) where level 1 has no basis element
+    (
+        "empty-top-product",
+        hand_doc(3, 2, 2, [("a", 1, 0), ("b", 1, 1), ("c", 1, 2)], products=[("a", "b", [])]),
+        1,
+    ),
+    # over Z/4, d(w) = 2v leaves a Z/2 class at the top level: a user error
+    ("z4-torsion", hand_doc(4, 2, 2, [("v", 1, 1), ("w", 1, 2)], differential=[("w", [("v", 2)])]), 1),
+)
+
+
 def window_cut(doc, r_max):
     """doc with rMax lowered to r_max and every entry touching the elements above it left out."""
     kept = {e["name"] for e in doc["basis"] if e["r"] <= r_max}
@@ -84,6 +121,9 @@ def cases(work):
     for k in (0, 1):
         out[f"homology --k {k} massey"] = ["homology", "--algebra", massey, "--k", str(k)]
     out["truncate --n 0 massey"] = ["truncate", "--algebra", massey, "--n", "0"]
+    for label, doc, level in HAND_TRUNCATIONS:
+        alg = _write(work / f"{label}.json", doc)
+        out[f"truncate --n {level} {label}"] = ["truncate", "--algebra", alg, "--n", str(level)]
     # the window a, b of the Massey sequence extends: chain-complex is defined
     ab = _write(work / "massey-ab.json", point_sequence([("w", 0), ("z1", 1), ("z2", 2)], ["a", "b"]))
     out["chain-complex massey-ab"] = ["chain-complex", "--algebra", massey, "--sequence", ab, "--n", "1"]
