@@ -13,6 +13,7 @@ exact Smith reduction.  Natural-system elements (matrices over H_k between
 free graded modules) live here as well.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -330,7 +331,9 @@ def truncate(Q, n2):
     Q_n2 / d(Q_{n2+1}), which must be a free Z/m module in each upper degree;
     a torsion quotient (possible over Z/p^2) is reported as an error carrying
     the presentation.  Its basis is the level-n2 names that the Smith
-    reduction leaves free (see quotient_presentation), under their own names.
+    reduction leaves free (see quotient_presentation), under their own names;
+    at level 0 the unit takes the place of one of them when its class is
+    nonzero (see _unit_named).
     The differential of a kept name lands below n2 and is read off Q as it
     is.  Each declared product of two kept names inside r_max and up to
     level n2 is Q's row projected onto the kept names; the unit law stays
@@ -355,16 +358,18 @@ def truncate(Q, n2):
                 detail={"r": r, "order_exponents": list(pres.order_exps)},
             )
         free = [basis[rep.index(1)] for rep in pres.reps]  # unit vectors, since every generator is free
-        tops[r] = basis, pres, free
+        coords = pres.coords
+        if Q.unit in basis and Q.unit not in free:
+            coords, free = _unit_named(coords, free, Q.unit, coords([int(x == Q.unit) for x in basis]), Q.m)
+        tops[r] = basis, coords, free
         elements.extend((name, r, n2) for name in free)
 
     def project(vec, r, s):
         """A vector of Q in bidegree (r, s), s <= n2, in the kept names."""
         if s != n2:
             return vec
-        basis, pres, free = tops[r]
-        coords = pres.coords([vec.get(x, 0) for x in basis])
-        return {name: c for name, c in zip(free, coords) if c}
+        basis, coords, free = tops[r]
+        return {name: c for name, c in zip(free, coords([vec.get(x, 0) for x in basis])) if c}
 
     diff = {name: Q.d_of(name) for name, _, _ in elements if Q.d_of(name)}
     kept = {name for name, _, _ in elements}
@@ -380,6 +385,27 @@ def truncate(Q, n2):
     if bad:
         raise InternalInvariantError(f"truncation produced an invalid algebra: {bad[:3]}")
     return out
+
+
+def _unit_named(coords, free, unit, unit_coords, m):
+    """The coordinate map and the free names with the unit as a basis name.
+
+    The unit replaces free[j] for the first j where its coordinate u_j is
+    invertible: the class with coordinates x then has x_j / u_j on the unit
+    and x_t - u_t x_j / u_j on free[t].  A unit with no invertible
+    coordinate, such as a boundary, leaves both as they are.
+    """
+    j = next((t for t, u in enumerate(unit_coords) if math.gcd(u, m) == 1), None)
+    if j is None:
+        return coords, free
+    inv = pow(unit_coords[j], -1, m)
+
+    def unit_coords_of(vec):
+        x = coords(vec)
+        on_unit = x[j] * inv % m
+        return tuple(on_unit if t == j else (v - u * on_unit) % m for t, (v, u) in enumerate(zip(x, unit_coords)))
+
+    return unit_coords_of, [unit if t == j else name for t, name in enumerate(free)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ reproducible too.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import UserInputError
 
@@ -209,6 +209,12 @@ class AffineSolutionSet:
     @property
     def kernel_rank(self):
         return len(self.kernel_basis)
+
+    @cached_property
+    def orders(self):
+        """The additive order of each kernel direction: coefficients beyond it repeat members."""
+        p, k = prime_power(self.m)
+        return tuple(p ** (k - padic_val(next(v for v in row if v), p, k)) for row in self.kernel_basis)
 
     def member(self, coeffs):
         """particular + sum coeffs[i] * kernel_basis[i]."""

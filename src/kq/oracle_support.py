@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
-from .exact_linalg import padic_val, prime_power
 
 DEFAULT_BUDGET = 2**20
 
@@ -29,19 +28,8 @@ class EnumerationBudget:
             )
 
 
-def _effective_ranges(solutions):
-    """Order of each kernel direction: coefficients beyond it repeat members."""
-    p, k = prime_power(solutions.m)
-    out = []
-    for row in solutions.kernel_basis:
-        lead = next(v for v in row if v)
-        a = padic_val(lead, p, k)
-        out.append(p ** (k - a))
-    return out
-
-
 def solution_count(solutions):
-    return math.prod(_effective_ranges(solutions))
+    return math.prod(solutions.orders)
 
 
 def enumerate_block_choices(result, budget=None):
@@ -52,7 +40,7 @@ def enumerate_block_choices(result, budget=None):
     ranges of every block, each tuple split back into its blocks.
     """
     budget = budget or EnumerationBudget()
-    blocks = [(b.generator, _effective_ranges(b.solutions)) for b in result.blocks]
+    blocks = [(b.generator, b.solutions.orders) for b in result.blocks]
     budget.charge(math.prod(r for _, ranges in blocks for r in ranges))
     for coeffs in itertools.product(*[range(r) for _, ranges in blocks for r in ranges]):
         choice, start = {}, 0

@@ -9,7 +9,11 @@ facet with a 0 in slot r+1.  Each stage is one call of the track solver,
 solve_for_values, on the one-cell ball *^k with the corner sum as its
 right-hand side.  Its operator depends only on the target module, the
 source degree and the level, so a walk keeps one reduced operator per
-(dst, deg, k) and solves every corner sum against it.  The bracket is the
+(dst, deg, k) and solves every corner sum against it.  The entry a(i,k)
+depends only on the picks made in its cone
+{(i',k') : k' >= 1, i <= i', i'+k' <= i+k}, so a walk also keeps each stage
+solve, each member built from it and each corner-sum product once per
+picks in the cones involved; no other walk sees them.  The bracket is the
 class of (-1)^(n+1) times the level-(n+1) sum for index 1.  Every solver
 choice is logged and can be replayed.  One depth-first walker over the
 choice tree serves every entry point: the bracket and adams-d follow one
@@ -78,17 +82,37 @@ class HigherChainComplex:
 
 
 @dataclass
+class _WalkMemo:
+    """What one walk works out once, shared by every tower of that walk.
+
+    A solved entry a(i,k) is named by a member key, an int handed out in
+    members: equal keys mean equal picks in its dependency cone
+    {(i',k') : k' >= 1, i <= i', i'+k' <= i+k}.  That cone is the apex and
+    the cones of a(i,k-1) and a(i+1,k-1), so a stage is keyed by (i, k) and
+    the member keys of those two; a given entry (a map, or prescribed data)
+    has the key None, as it is the same throughout the walk.
+    """
+
+    operators: dict = field(default_factory=dict)  # (dst, source degree, cells) -> operator half of a solve
+    balls: dict = field(default_factory=dict)  # level k -> the one-cell ball *^k
+    solves: dict = field(default_factory=dict)  # stage key -> (SolveResult, certificate)
+    members: dict = field(default_factory=dict)  # (stage key, pick) -> (member key, member)
+    products: dict = field(default_factory=dict)  # (i, r, k, left key, right key) -> (vectors, cut)
+
+
+@dataclass
 class _Tower:
     """Nullhomotopy data with the choice log that built it.
 
-    operators holds the operator half of every stage solved so far in this
-    walk, one per (dst, source degree, level k): start makes a fresh dict,
-    and with_level hands it on to every tower below.
+    keys holds the member key of every solved entry, and memo the work of
+    this walk: start makes a fresh one, and with_level hands it on to every
+    tower below, so no other walk sees it.
     """
 
     data: dict  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
     log: list = field(default_factory=list)
-    operators: dict = field(default_factory=dict, repr=False, compare=False)
+    keys: dict = field(default_factory=dict, repr=False, compare=False)
+    memo: _WalkMemo = field(default_factory=_WalkMemo, repr=False, compare=False)
 
     @staticmethod
     def start(seq, prescribed=None):
@@ -96,20 +120,28 @@ class _Tower:
         data.update(prescribed or {})
         return _Tower(data)
 
+    def product(self, i, r, k):
+        """a(i,r) times a(i+r+1,k-1-r) per source generator, and whether a factor or the window tainted it."""
+        key = (i, r, k, self.keys.get((i, r)), self.keys.get((i + r + 1, k - 1 - r)))
+        if key not in self.memo.products:
+            left, right = self.data[(i, r)], self.data[(i + r + 1, k - 1 - r)]
+            top = "*" * (k - 1 - r)
+            terms = [apply_q_linear(left, "*" * r, right.value(top, gen)) for gen in range(right.src.size)]
+            tainted = left.tainted or right.tainted or any(cut for _, cut in terms)
+            self.memo.products[key] = [term for term, _ in terms], tainted
+        return self.memo.products[key]
+
     def corner_sum(self, i, k):
-        """src, dst, the right side of d a(i,k) per source generator, and any window cut."""
-        pairs = [(r, self.data[(i, r)], self.data[(i + r + 1, k - 1 - r)]) for r in range(k)]
-        src, dst, Q = pairs[0][2].src, pairs[0][1].dst, pairs[0][1].Q
-        tainted = any(left.tainted or right.tainted for _, left, right in pairs)
+        """src, dst, the right side of d a(i,k) per source generator, and any taint."""
+        first, src = self.data[(i, 0)], self.data[(i + 1, k - 1)].src
+        products = [self.product(i, r, k) for r in range(k)]
         sums = []
         for gen in range(src.size):
             acc = {}
-            for r, left, right in pairs:
-                term, cut = apply_q_linear(left, "*" * r, right.value("*" * (k - 1 - r), gen))
-                tainted = tainted or cut
-                acc = vec_add(acc, term, Q.m, scale=-1 if r % 2 == 0 else 1)
+            for r, (terms, _) in enumerate(products):
+                acc = vec_add(acc, terms[gen], first.Q.m, scale=-1 if r % 2 == 0 else 1)
             sums.append(acc)
-        return src, dst, sums, tainted
+        return src, first.dst, sums, any(tainted for _, tainted in products)
 
     def obstruction(self, i, n, nat):
         """The class of (-1)^(n+1) times the level-(n+1) corner sum, and its taint."""
@@ -117,18 +149,39 @@ class _Tower:
         sign = -1 if n % 2 == 0 else 1
         return class_matrix(nat, src, dst, [vec_scale(acc, sign, nat.Q.m) for acc in sums]), tainted
 
-    def solve(self, i, k):
-        """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum."""
-        src, dst, sums, tainted = self.corner_sum(i, k)
-        top = "*" * k
-        ball = Ball(ChainBasis({top: k}, {}), top)
-        rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
-        Q = self.data[(i, 0)].Q
-        return solve_for_values(ball, Q, src, dst, {}, [top], rhs=rhs, tainted=tainted, operators=self.operators)
+    def stage_key(self, i, k):
+        """(i, k) and the member keys of a(i,k-1) and a(i+1,k-1): the picks in the cone of stage (i,k)."""
+        return i, k, self.keys.get((i, k - 1)), self.keys.get((i + 1, k - 1))
 
-    def with_level(self, i, k, res):
-        data = {**self.data, (i, k): res.morphism}
-        return _Tower(data, self.log + res.choice_log(f"level {k} index {i}"), self.operators)
+    def solve(self, i, k):
+        """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum, once per stage key."""
+        key = self.stage_key(i, k)
+        if key not in self.memo.solves:
+            src, dst, sums, tainted = self.corner_sum(i, k)
+            top = "*" * k
+            if k not in self.memo.balls:
+                self.memo.balls[k] = Ball(ChainBasis({top: k}, {}), top)
+            rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
+            Q = self.data[(i, 0)].Q
+            self.memo.solves[key] = solve_for_values(
+                self.memo.balls[k], Q, src, dst, {}, [top], rhs=rhs, tainted=tainted, operators=self.memo.operators
+            )
+        return self.memo.solves[key]
+
+    def with_level(self, i, k, res, pick, choice):
+        """The tower with a(i,k) = res.instantiate(choice), built once per stage key and pick.
+
+        res is this tower's solve(i, k), and pick names choice among the
+        options tried there: within one walk those are the same for equal
+        stage keys.
+        """
+        key = (self.stage_key(i, k), pick)
+        if key not in self.memo.members:
+            self.memo.members[key] = len(self.memo.members), res.instantiate(choice)
+        member_key, member = self.memo.members[key]
+        data = {**self.data, (i, k): member.morphism}
+        keys = {**self.keys, (i, k): member_key}
+        return _Tower(data, self.log + member.choice_log(f"level {k} index {i}"), keys, self.memo)
 
     def tainted(self):
         return any(m.tainted for m in self.data.values())
@@ -147,9 +200,10 @@ def _stages(tower, length, n):
 def _walk(tower, stages, options, budget=None):
     """Every leaf of the choice tree below tower, depth first.
 
-    Each stage is solved once and each choice tried there is built once:
-    options(stage, result) lists the choices, and SolveResult.instantiate
-    turns each into a child.
+    Each state asks its tower for the stage's solution set and lists the
+    choices there with options(stage, result); the tower solves a stage
+    once per picks in its cone and builds each choice once per stage key
+    (see _WalkMemo), so states that differ only outside the cone share both.
     Yields (tower, None) for a completed tower and (tower, failure) for a
     stage without solution.  budget, if given, is charged once per state.
     """
@@ -163,8 +217,8 @@ def _walk(tower, stages, options, budget=None):
     if res is None:
         yield tower, {"step": k, "index": i, "certificate": cert}
         return
-    for choice in options((i, k), res):
-        yield from _walk(tower.with_level(i, k, res.instantiate(choice)), stages[1:], options, budget)
+    for pick, choice in enumerate(options((i, k), res)):
+        yield from _walk(tower.with_level(i, k, res, pick, choice), stages[1:], options, budget)
 
 
 def _every_choice(budget):

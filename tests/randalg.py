@@ -165,14 +165,13 @@ def budget_feasible(q, seq, cap=2**12):
     """Whether the oracle's total choice space fits under the cap."""
     from kq.toda import _Tower
 
-    tower = _Tower.start(seq)
+    tower = _Tower.start(seq)  # the level-1 stages read only the maps
     total = 1
     for i in (1, 2):
         res, cert = tower.solve(i, 1)
         if res is None:
             return False
         total *= choice_space_size(res)
-        tower = tower.with_level(i, 1, res)
     return total <= cap
 
 

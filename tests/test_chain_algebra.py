@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from kq.chain_algebra import (
     homology,
     pair_basis,
     tensor_d,
+    _unit_named,
     truncate,
 )
 from kq.cubical import point_ball
@@ -178,6 +181,45 @@ def test_truncate_multiplies_every_pair_that_can_be_nonzero(order, modulus, free
     declared = [_truncation_or_error(q, level) for level in range(order)]
     q.mul = {(a, b): q.mul_of(a, b)[0] for a in q.names for b in q.names}
     assert [_truncation_or_error(q, level) for level in range(order)] == declared
+
+
+@pytest.mark.parametrize("root", [False, True])
+@pytest.mark.parametrize("modulus", [2, 3, 9])
+def test_truncate_to_level_0_keeps_the_unit(modulus, root):
+    # d(t) = 1 + e makes [1] = -[e], and e*e = -e; Smith pivoting keeps e free, and the unit must
+    # take its place.  With root, f*f = e = -1 and e*f = f*e = -f: the product is read in the new basis
+    elements = [("1", 0, 0), ("e", 0, 0), ("t", 0, 1)]
+    mul = {("e", "e"): {"e": modulus - 1}}
+    if root:
+        elements.append(("f", 0, 0))
+        mul.update({("f", "f"): {"e": 1}, ("e", "f"): {"f": modulus - 1}, ("f", "e"): {"f": modulus - 1}})
+    q = ChainAlgebra(modulus, 1, 0, elements, "1", {"t": {"1": 1, "e": 1}}, mul)
+    assert q.validate() == []
+    q0 = truncate(q, 0)
+    assert q0.validate() == []
+    assert q0.basis_at(0, 0) == (("1", "f") if root else ("1",))
+    if root:
+        assert q0.mul_of("f", "f") == ({"1": modulus - 1}, False)
+    before, after = homology(q, 0), homology(q0, 0)
+    free = (2 if modulus == 9 else 1,) * (1 + root)
+    assert after.presentation(0).order_exps == before.presentation(0).order_exps == free
+    # the unit's class is a basis element on both sides, and in the original [e] = -[1]
+    for h in (before, after):
+        assert any(math.gcd(c, modulus) == 1 for c in h.class_of({"1": 1}, 0).coords)
+    assert before.class_of({"e": 1}, 0).coords == before.class_of({"1": modulus - 1}, 0).coords
+
+
+@pytest.mark.parametrize("modulus, unit", [(3, (2, 1)), (9, (3, 1)), (9, (0, 0))])
+def test_unit_named_reads_coordinates_in_the_new_basis(modulus, unit):
+    # old coordinates are the vector itself and the unit is unit[0] e + unit[1] f: it replaces
+    # the first name whose coefficient is invertible, and a vector is the sum of its new coordinates
+    coords, free = _unit_named(tuple, ["e", "f"], "1", unit, modulus)
+    j = next((t for t, u in enumerate(unit) if math.gcd(u, modulus) == 1), None)
+    assert free == ["1" if t == j else name for t, name in enumerate(["e", "f"])]
+    basis = [unit if t == j else tuple(int(s == t) for s in range(2)) for t in range(2)]
+    for x in itertools.product(range(modulus), repeat=2):
+        new = coords(list(x))
+        assert tuple(sum(c * b[s] for c, b in zip(new, basis)) % modulus for s in range(2)) == x
 
 
 def test_torsion_truncation_rejected():

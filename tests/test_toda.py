@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from kq.chain_algebra import ChainAlgebra, GradedModule, NatSystem, homology
 from kq.cubical import Ball, ChainBasis, corner_ball, cube_ball, point_ball
 from kq.documents import parse_algebra, parse_sequence
 from kq.errors import UserInputError
-from kq.oracle_support import EnumerationBudget
+from kq.exact_linalg import AffineSolutionSet
+from kq.oracle_support import EnumerationBudget, enumerate_block_choices
 from kq.toda import (
     BracketResult,
     MorphismSequence,
@@ -433,6 +435,91 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
             build_chain_complex(algebra, seq, 3)
         assert seen["builds"] == len(seen["operators"]) == 9
         assert seen["solves"] > 100 * seen["builds"]
+
+
+def _cone_of(tower, i, k):
+    """The solved entries that stage (i, k) depends on, with their values."""
+    return tuple(
+        sorted(
+            (key, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in mor.values.items())))
+            for key, mor in tower.data.items()
+            if key[1] >= 1 and i <= key[0] and key[0] + key[1] <= i + k
+        )
+    )
+
+
+def _tower_walk_shape(seed):
+    """Order 3 over Z/4 with a free cycle: seed 1 is the tower-walk benchmark, 431 the golden budget ladder."""
+    rng = random.Random(seed)
+    algebra, _ = parse_algebra(universal.algebra_doc(3, 4, rng, free_cycle=True))
+    return algebra, parse_sequence(universal.sequence_doc(3, universal.draw_units(3, 4, rng)), algebra)
+
+
+def _run_walk(walk, algebra, seq):
+    """The walk over every choice, and the budget it charged."""
+    budget = EnumerationBudget(2**14)
+    if walk == "oracle":
+        assert oracle_bracket_set(algebra, seq, 3, budget)
+    else:
+        build_chain_complex(algebra, seq, 3, search_budget=budget)
+    return budget
+
+
+@pytest.mark.parametrize("seed", [1, 431])
+@pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
+def test_walk_solves_each_cone_once(walk, seed, monkeypatch):
+    algebra, seq = _tower_walk_shape(seed)
+    tower_solve, solve = kq.toda._Tower.solve, kq.toda.solve_for_values
+    seen = {"states": 0, "cones": set(), "solves": 0}
+
+    def counted_tower_solve(tower, i, k):
+        seen["states"] += 1
+        seen["cones"].add((i, k, _cone_of(tower, i, k)))
+        return tower_solve(tower, i, k)
+
+    def counted_solve(*args, **kwargs):
+        seen["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kq.toda._Tower, "solve", counted_tower_solve)
+    monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
+    for _ in range(2):  # a second walk solves every cone again: nothing outlives a walk
+        seen.update(states=0, cones=set(), solves=0)
+        budget = _run_walk(walk, algebra, seq)
+        # one solve per stage and distinct picks in its cone, however many states reach it
+        assert seen["states"] == 1365
+        assert seen["solves"] == len(seen["cones"]) == 180
+        assert budget.spent == 3241  # the same states, charged as when every state solved its stage
+
+
+@pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
+def test_walk_works_out_kernel_orders_once_per_block(walk, monkeypatch):
+    algebra, seq = _tower_walk_shape(1)
+    solve, orders = kq.toda.solve_for_values, AffineSolutionSet.orders
+    seen = {"blocks": 0, "orders": 0, "enumerations": 0}
+
+    def counted_solve(*args, **kwargs):
+        res, cert = solve(*args, **kwargs)
+        seen["blocks"] += len(res.blocks) if res is not None else 0
+        return res, cert
+
+    def counted_orders(solutions):
+        seen["orders"] += 1
+        return orders.func(solutions)
+
+    def counted_enumerate(result, budget=None):
+        seen["enumerations"] += len(result.blocks)
+        return enumerate_block_choices(result, budget)
+
+    counted = functools.cached_property(counted_orders)
+    counted.__set_name__(AffineSolutionSet, "orders")
+    monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
+    monkeypatch.setattr(kq.toda, "enumerate_block_choices", counted_enumerate)
+    monkeypatch.setattr(AffineSolutionSet, "orders", counted)
+    _run_walk(walk, algebra, seq)
+    # the states enumerate the blocks of their solved stages many times over
+    assert seen["enumerations"] > 5 * seen["blocks"]
+    assert seen["orders"] == seen["blocks"]
 
 
 def test_standard_balls_are_shared_and_stay_pristine():

@@ -15,15 +15,13 @@ from kq.chain_algebra import vec_add
 from kq.cubical import FREE, Ball, CubicalComplex, cube_complex, cylinder_ball
 from kq.errors import UserInputError
 from kq.exact_linalg import prime_power, solve_dense
-from kq.oracle_support import EnumerationBudget, _effective_ranges, enumerate_block_choices
+from kq.oracle_support import EnumerationBudget, enumerate_block_choices
 
 
 def random_choices(result, rng):
     out = {}
     for b in result.blocks:
-        out[b.generator] = tuple(
-            rng.randrange(r) for r in _effective_ranges(b.solutions)
-        )
+        out[b.generator] = tuple(rng.randrange(r) for r in b.solutions.orders)
     return out
 
 
