@@ -332,8 +332,9 @@ def truncate(Q, n2):
     a torsion quotient (possible over Z/p^2) is reported as an error carrying
     the presentation.  Its basis is the level-n2 names that the Smith
     reduction leaves free (see quotient_presentation), under their own names;
-    at level 0 the unit takes the place of one of them when its class is
-    nonzero (see _unit_named).
+    at level 0 the unit takes the place of one of them (see _unit_named),
+    and a unit whose class vanishes, a boundary, makes the truncation the
+    zero algebra, which is reported as an error.
     The differential of a kept name lands below n2 and is read off Q as it
     is.  Each declared product of two kept names inside r_max and up to
     level n2 is Q's row projected onto the kept names; the unit law stays
@@ -360,7 +361,10 @@ def truncate(Q, n2):
         free = [basis[rep.index(1)] for rep in pres.reps]  # unit vectors, since every generator is free
         coords = pres.coords
         if Q.unit in basis and Q.unit not in free:
-            coords, free = _unit_named(coords, free, Q.unit, coords([int(x == Q.unit) for x in basis]), Q.m)
+            unit_coords = coords([int(x == Q.unit) for x in basis])
+            if not any(unit_coords):
+                raise UserInputError("the level-0 truncation is the zero algebra: the class of the unit vanishes")
+            coords, free = _unit_named(coords, free, Q.unit, unit_coords, Q.m)
         tops[r] = basis, coords, free
         elements.extend((name, r, n2) for name in free)
 
@@ -393,7 +397,7 @@ def _unit_named(coords, free, unit, unit_coords, m):
     The unit replaces free[j] for the first j where its coordinate u_j is
     invertible: the class with coordinates x then has x_j / u_j on the unit
     and x_t - u_t x_j / u_j on free[t].  A unit with no invertible
-    coordinate, such as a boundary, leaves both as they are.
+    coordinate leaves both as they are.
     """
     j = next((t for t, u in enumerate(unit_coords) if math.gcd(u, m) == 1), None)
     if j is None:

@@ -11,9 +11,11 @@ right-hand side.  Its operator depends only on the target module, the
 source degree and the level, so a walk keeps one reduced operator per
 (dst, deg, k) and solves every corner sum against it.  The entry a(i,k)
 depends only on the picks made in its cone
-{(i',k') : k' >= 1, i <= i', i'+k' <= i+k}, so a walk also keeps each stage
-solve, each member built from it and each corner-sum product once per
-picks in the cones involved; no other walk sees them.  The bracket is the
+{(i',k') : k' >= 1, i <= i', i'+k' <= i+k}, so a state of the walk is the
+tuple of member keys of the stages solved so far, each naming an entry
+built from the picks in its cone.  A walk solves each stage, builds each
+member with its choice-log entries and forms each corner-sum product once
+per keys in the cones involved; no other walk sees them.  The bracket is the
 class of (-1)^(n+1) times the level-(n+1) sum for index 1.  Every solver
 choice is logged and can be replayed.  One depth-first walker over the
 choice tree serves every entry point: the bracket and adams-d follow one
@@ -81,60 +83,63 @@ class HigherChainComplex:
     choice_log: list = field(default_factory=list)
 
 
-@dataclass
-class _WalkMemo:
-    """What one walk works out once, shared by every tower of that walk.
+class _Walk:
+    """One depth-first walk: the given entries, the stages still to solve in build order, and the memos.
 
-    A solved entry a(i,k) is named by a member key, an int handed out in
-    members: equal keys mean equal picks in its dependency cone
-    {(i',k') : k' >= 1, i <= i', i'+k' <= i+k}.  That cone is the apex and
-    the cones of a(i,k-1) and a(i+1,k-1), so a stage is keyed by (i, k) and
-    the member keys of those two; a given entry (a map, or prescribed data)
-    has the key None, as it is the same throughout the walk.
+    The given entries are the maps a(i,0) and any prescribed data, each with
+    the key None as it is the same throughout the walk.  A state is the
+    tuple keys of member keys of the stages solved so far: keys[t] names the
+    entry at stages[t], an int handed out in members, and equal keys mean
+    equal picks in its cone.
     """
 
-    operators: dict = field(default_factory=dict)  # (dst, source degree, cells) -> operator half of a solve
-    balls: dict = field(default_factory=dict)  # level k -> the one-cell ball *^k
-    solves: dict = field(default_factory=dict)  # stage key -> (SolveResult, certificate)
-    members: dict = field(default_factory=dict)  # (stage key, pick) -> (member key, member)
-    products: dict = field(default_factory=dict)  # (i, r, k, left key, right key) -> (vectors, cut)
+    def __init__(self, seq, n, prescribed=None):
+        self.given = {(i, 0): f for i, f in enumerate(seq.maps, 1)}
+        self.given.update(prescribed or {})
+        self.stages = [
+            (i, k) for k in range(1, n + 1) for i in range(1, seq.length - k + 1) if (i, k) not in self.given
+        ]
+        self.position = {stage: t for t, stage in enumerate(self.stages)}
+        self.operators = {}  # (dst, source degree, cells) -> operator half of a solve
+        self.solves = {}  # stage key -> (SolveResult, certificate)
+        self.members = {}  # (stage key, pick) -> member key
+        self.built = []  # member key -> (TrackMorphism, its choice-log entries)
+        self.products = {}  # (i, r, k, left key, right key) -> (vectors, taint)
 
+    def key(self, keys, i, k):
+        """The member key of a(i,k) in state keys, None for a given entry."""
+        t = self.position.get((i, k))
+        return None if t is None else keys[t]
 
-@dataclass
-class _Tower:
-    """Nullhomotopy data with the choice log that built it.
+    def entry(self, keys, i, k):
+        """a(i,k) in state keys."""
+        key = self.key(keys, i, k)
+        return self.given[(i, k)] if key is None else self.built[key][0]
 
-    keys holds the member key of every solved entry, and memo the work of
-    this walk: start makes a fresh one, and with_level hands it on to every
-    tower below, so no other walk sees it.
-    """
+    def data(self, keys):
+        return {**self.given, **{stage: self.built[key][0] for stage, key in zip(self.stages, keys)}}
 
-    data: dict  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
-    log: list = field(default_factory=list)
-    keys: dict = field(default_factory=dict, repr=False, compare=False)
-    memo: _WalkMemo = field(default_factory=_WalkMemo, repr=False, compare=False)
+    def log(self, keys):
+        return [entry for key in keys for entry in self.built[key][1]]
 
-    @staticmethod
-    def start(seq, prescribed=None):
-        data = {(i, 0): f for i, f in enumerate(seq.maps, 1)}
-        data.update(prescribed or {})
-        return _Tower(data)
+    def tainted(self, keys):
+        return any(m.tainted for m in self.data(keys).values())
 
-    def product(self, i, r, k):
+    def product(self, keys, i, r, k):
         """a(i,r) times a(i+r+1,k-1-r) per source generator, and whether a factor or the window tainted it."""
-        key = (i, r, k, self.keys.get((i, r)), self.keys.get((i + r + 1, k - 1 - r)))
-        if key not in self.memo.products:
-            left, right = self.data[(i, r)], self.data[(i + r + 1, k - 1 - r)]
+        key = (i, r, k, self.key(keys, i, r), self.key(keys, i + r + 1, k - 1 - r))
+        if key not in self.products:
+            left, right = self.entry(keys, i, r), self.entry(keys, i + r + 1, k - 1 - r)
             top = "*" * (k - 1 - r)
             terms = [apply_q_linear(left, "*" * r, right.value(top, gen)) for gen in range(right.src.size)]
             tainted = left.tainted or right.tainted or any(cut for _, cut in terms)
-            self.memo.products[key] = [term for term, _ in terms], tainted
-        return self.memo.products[key]
+            self.products[key] = [term for term, _ in terms], tainted
+        return self.products[key]
 
-    def corner_sum(self, i, k):
+    def corner_sum(self, keys, i, k):
         """src, dst, the right side of d a(i,k) per source generator, and any taint."""
-        first, src = self.data[(i, 0)], self.data[(i + 1, k - 1)].src
-        products = [self.product(i, r, k) for r in range(k)]
+        first, src = self.given[(i, 0)], self.entry(keys, i + 1, k - 1).src
+        products = [self.product(keys, i, r, k) for r in range(k)]
         sums = []
         for gen in range(src.size):
             acc = {}
@@ -143,82 +148,68 @@ class _Tower:
             sums.append(acc)
         return src, first.dst, sums, any(tainted for _, tainted in products)
 
-    def obstruction(self, i, n, nat):
+    def obstruction(self, keys, i, n, nat):
         """The class of (-1)^(n+1) times the level-(n+1) corner sum, and its taint."""
-        src, dst, sums, tainted = self.corner_sum(i, n + 1)
+        src, dst, sums, tainted = self.corner_sum(keys, i, n + 1)
         sign = -1 if n % 2 == 0 else 1
         return class_matrix(nat, src, dst, [vec_scale(acc, sign, nat.Q.m) for acc in sums]), tainted
 
-    def stage_key(self, i, k):
-        """(i, k) and the member keys of a(i,k-1) and a(i+1,k-1): the picks in the cone of stage (i,k)."""
-        return i, k, self.keys.get((i, k - 1)), self.keys.get((i + 1, k - 1))
+    def cone(self, keys, i, k):
+        """The stage key of (i, k): (i, k) and the member keys of a(i,k-1) and a(i+1,k-1).
 
-    def solve(self, i, k):
-        """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum, once per stage key."""
-        key = self.stage_key(i, k)
-        if key not in self.memo.solves:
-            src, dst, sums, tainted = self.corner_sum(i, k)
-            top = "*" * k
-            if k not in self.memo.balls:
-                self.memo.balls[k] = Ball(ChainBasis({top: k}, {}), top)
-            rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
-            Q = self.data[(i, 0)].Q
-            self.memo.solves[key] = solve_for_values(
-                self.memo.balls[k], Q, src, dst, {}, [top], rhs=rhs, tainted=tainted, operators=self.memo.operators
-            )
-        return self.memo.solves[key]
-
-    def with_level(self, i, k, res, pick, choice):
-        """The tower with a(i,k) = res.instantiate(choice), built once per stage key and pick.
-
-        res is this tower's solve(i, k), and pick names choice among the
-        options tried there: within one walk those are the same for equal
-        stage keys.
+        The cone of a(i,k) is its apex and the cones of those two, so equal
+        stage keys mean equal picks in it.
         """
-        key = (self.stage_key(i, k), pick)
-        if key not in self.memo.members:
-            self.memo.members[key] = len(self.memo.members), res.instantiate(choice)
-        member_key, member = self.memo.members[key]
-        data = {**self.data, (i, k): member.morphism}
-        keys = {**self.keys, (i, k): member_key}
-        return _Tower(data, self.log + member.choice_log(f"level {k} index {i}"), keys, self.memo)
+        return i, k, self.key(keys, i, k - 1), self.key(keys, i + 1, k - 1)
 
-    def tainted(self):
-        return any(m.tainted for m in self.data.values())
+    def solve(self, keys, cone):
+        """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum, once per stage key."""
+        if cone not in self.solves:
+            i, k = cone[:2]
+            src, dst, sums, tainted = self.corner_sum(keys, i, k)
+            top = "*" * k
+            ball = Ball(ChainBasis({top: k}, {}), top)
+            rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
+            self.solves[cone] = solve_for_values(
+                ball, self.given[(i, 0)].Q, src, dst, {}, [top], rhs=rhs, tainted=tainted, operators=self.operators
+            )
+        return self.solves[cone]
+
+    def member(self, cone, pick, res, choice):
+        """The member key of res.instantiate(choice), built with its choice-log entries once per stage key and pick.
+
+        res is the solve of cone, and pick names choice among the options
+        tried there: within one walk those are the same for equal stage keys.
+        """
+        if (cone, pick) not in self.members:
+            i, k = cone[:2]
+            member = res.instantiate(choice)
+            self.members[(cone, pick)] = len(self.built)
+            self.built.append((member.morphism, member.choice_log(f"level {k} index {i}")))
+        return self.members[(cone, pick)]
 
 
-def _stages(tower, length, n):
-    """The (index, level) nodes still missing from tower, in build order."""
-    return [
-        (i, k)
-        for k in range(1, n + 1)
-        for i in range(1, length - k + 1)
-        if (i, k) not in tower.data
-    ]
+def _walk(walk, options, budget=None, keys=()):
+    """Every leaf of the choice tree below the state keys, depth first.
 
-
-def _walk(tower, stages, options, budget=None):
-    """Every leaf of the choice tree below tower, depth first.
-
-    Each state asks its tower for the stage's solution set and lists the
-    choices there with options(stage, result); the tower solves a stage
-    once per picks in its cone and builds each choice once per stage key
-    (see _WalkMemo), so states that differ only outside the cone share both.
-    Yields (tower, None) for a completed tower and (tower, failure) for a
-    stage without solution.  budget, if given, is charged once per state.
+    Each state works out its stage key once and lists the choices in that
+    stage's solution set with options(stage, result).  Yields (keys, None)
+    for a completed state and (keys, failure) for a stage without solution.
+    budget, if given, is charged once per state.
     """
     if budget is not None:
         budget.charge()
-    if not stages:
-        yield tower, None
+    if len(keys) == len(walk.stages):
+        yield keys, None
         return
-    i, k = stages[0]
-    res, cert = tower.solve(i, k)
+    i, k = walk.stages[len(keys)]
+    cone = walk.cone(keys, i, k)
+    res, cert = walk.solve(keys, cone)
     if res is None:
-        yield tower, {"step": k, "index": i, "certificate": cert}
+        yield keys, {"step": k, "index": i, "certificate": cert}
         return
     for pick, choice in enumerate(options((i, k), res)):
-        yield from _walk(tower.with_level(i, k, res, pick, choice), stages[1:], options, budget)
+        yield from _walk(walk, options, budget, keys + (walk.member(cone, pick, res, choice),))
 
 
 def _every_choice(budget):
@@ -235,16 +226,15 @@ def nat_system(Q, n, nat=None):
     return nat or NatSystem(Q, n)
 
 
-def _bracket(tower, length, n, nat, choices=None):
+def _bracket(walk, n, nat, choices=None):
     """The deterministic walk: the pinned choice or the particular solution per stage."""
     pinned = choices or {}
-    leaf = _walk(tower, _stages(tower, length, n), lambda stage, res: [pinned.get(stage)])
-    tower, fail = next(leaf)
+    keys, fail = next(_walk(walk, lambda stage, res: [pinned.get(stage)]))
     if fail is not None:
-        return BracketResult(NOT_CONSTRUCTIBLE, choice_log=tower.log, **fail)
-    rep, tainted = tower.obstruction(1, n, nat)
-    status = WINDOW_UNSOUND if (tower.tainted() or tainted) else DEFINED
-    return BracketResult(status, representative=rep, choice_log=tower.log)
+        return BracketResult(NOT_CONSTRUCTIBLE, choice_log=walk.log(keys), **fail)
+    rep, tainted = walk.obstruction(keys, 1, n, nat)
+    status = WINDOW_UNSOUND if (walk.tainted(keys) or tainted) else DEFINED
+    return BracketResult(status, representative=rep, choice_log=walk.log(keys))
 
 
 def toda_bracket(Q, seq, n, choices=None, nat=None):
@@ -252,7 +242,7 @@ def toda_bracket(Q, seq, n, choices=None, nat=None):
     nat = nat_system(Q, n, nat)
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
-    return _bracket(_Tower.start(seq), seq.length, n, nat, choices)
+    return _bracket(_Walk(seq, n), n, nat, choices)
 
 
 def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
@@ -262,12 +252,12 @@ def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
     budget = budget if budget is not None else EnumerationBudget()
     found = {}
-    tower = _Tower.start(seq)
-    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), _every_choice(budget), budget):
+    walk = _Walk(seq, n)
+    for keys, fail in _walk(walk, _every_choice(budget), budget):
         if fail is not None:
             continue
-        rep, tainted = leaf.obstruction(1, n, nat)
-        if leaf.tainted() or tainted:
+        rep, tainted = walk.obstruction(keys, 1, n, nat)
+        if walk.tainted(keys) or tainted:
             raise UserInputError("bracket enumeration crossed the degree window")
         found.setdefault(rep.coords_key(), rep)
     return [found[key] for key in sorted(found)]
@@ -323,22 +313,22 @@ def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
     nat = nat_system(Q, n, nat)
     budget = search_budget if search_budget is not None else EnumerationBudget(2**14)
     windows = list(range(1, seq.length - n))  # F_i^n needs maps i .. i+n+1
+    walk = _Walk(seq, n)
 
-    def window_failure(tower):
+    def window_failure(keys):
         for i in windows:
-            rep, _ = tower.obstruction(i, n, nat)
+            rep, _ = walk.obstruction(keys, i, n, nat)
             if not rep.is_zero():
                 return {"step": n + 1, "index": i, "certificate": {"obstruction": rep.coords_key()}}
         return None
 
-    tower = _Tower.start(seq)
     last_failure = {}
-    for leaf, fail in _walk(tower, _stages(tower, seq.length, n), _every_choice(budget), budget):
+    for keys, fail in _walk(walk, _every_choice(budget), budget):
         if fail is None:
-            fail = window_failure(leaf)
+            fail = window_failure(keys)
         if fail is None:
-            data = {key: mor for key, mor in leaf.data.items() if key[1] >= 1}
-            return HigherChainComplex(seq, n, data, leaf.log), None
+            data = {key: mor for key, mor in walk.data(keys).items() if key[1] >= 1}
+            return HigherChainComplex(seq, n, data, walk.log(keys)), None
         last_failure = fail
     return None, last_failure
 
@@ -366,4 +356,4 @@ def adams_d(Q, complex_, beta, n, nat=None):
         for (i, k) in complex_.data
         if i + k <= n + 1 and k >= 1
     }
-    return _bracket(_Tower.start(aug, prescribed), aug.length, n, nat)
+    return _bracket(_Walk(aug, n, prescribed), n, nat)

@@ -163,12 +163,12 @@ def bracket_instances(q, rng, want=3, max_checks=400, budget_cap=2**12):
 
 def budget_feasible(q, seq, cap=2**12):
     """Whether the oracle's total choice space fits under the cap."""
-    from kq.toda import _Tower
+    from kq.toda import _Walk
 
-    tower = _Tower.start(seq)  # the level-1 stages read only the maps
+    walk = _Walk(seq, 1)  # the level-1 stages read only the maps
     total = 1
     for i in (1, 2):
-        res, cert = tower.solve(i, 1)
+        res, cert = walk.solve((), walk.cone((), i, 1))
         if res is None:
             return False
         total *= choice_space_size(res)

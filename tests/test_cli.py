@@ -14,6 +14,7 @@ from kq.toda import toda_bracket
 
 from test_closed_form import universal
 from test_golden_stdout import window_cut
+from test_validate_reference import _unit_hit_algebra
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -282,6 +283,15 @@ def test_truncate_negative_level_rejected(capsys):
         capsys, "truncate", "--algebra", str(FIXTURES / "massey_algebra.json"), "--n", "-1"
     )
     _assert_user_error(code, out, "level -1")
+
+
+def test_truncate_of_a_boundary_unit_is_the_zero_algebra(capsys, tmp_path):
+    # d(b) = 1: the unit's class vanishes at level 0, so the truncation there is the zero algebra
+    path = tmp_path / "unit_hit.json"
+    path.write_text(json.dumps(algebra_to_dict(_unit_hit_algebra())))
+    assert json.loads(run_cli(capsys, "validate", "--algebra", str(path))[1])["valid"] is True
+    code, out, _ = run_cli(capsys, "truncate", "--algebra", str(path), "--n", "0")
+    _assert_exact_user_error(code, out, "the level-0 truncation is the zero algebra: the class of the unit vanishes")
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

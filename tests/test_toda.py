@@ -21,7 +21,7 @@ from kq.toda import (
     DEFINED,
     NOT_CONSTRUCTIBLE,
 )
-from kq.track import pt_morphism, zero_morphism
+from kq.track import SolveResult, pt_morphism, zero_morphism
 
 from conftest import make_massey_algebra
 from randalg import bracket_instances, budget_feasible, random_valid_algebra
@@ -392,7 +392,7 @@ def test_walk_solves_each_state_once(walk, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(kq.toda._Tower, "solve", counted("solve", kq.toda._Tower.solve))
+    monkeypatch.setattr(kq.toda._Walk, "solve", counted("solve", kq.toda._Walk.solve))
     monkeypatch.setattr(
         kq.toda, "enumerate_block_choices", counted("enumerate", kq.toda.enumerate_block_choices)
     )
@@ -411,21 +411,22 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
     rng = random.Random(1)
     algebra, _ = parse_algebra(universal.algebra_doc(3, 4, rng, free_cycle=True))
     seq = parse_sequence(universal.sequence_doc(3, universal.draw_units(3, 4, rng)), algebra)
-    solve, factor = kq.toda._Tower.solve, kq.track.factor
+    solve, factor = kq.toda._Walk.solve, kq.track.factor
     seen = {"solves": 0, "builds": 0, "operators": set()}
 
-    def counted_solve(tower, i, k):
+    def counted_solve(walk, keys, cone):
         # stage (i, k) maps X_(i+k) to X_(i-1): one operator per source degree
+        i, k = cone[:2]
         src = seq.modules[i + k]
         seen["operators"].update((seq.modules[i - 1], src.degree(g), k) for g in range(src.size))
         seen["solves"] += 1
-        return solve(tower, i, k)
+        return solve(walk, keys, cone)
 
     def counted_factor(*args, **kwargs):
         seen["builds"] += 1
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(kq.toda._Tower, "solve", counted_solve)
+    monkeypatch.setattr(kq.toda._Walk, "solve", counted_solve)
     monkeypatch.setattr(kq.track, "factor", counted_factor)
     for _ in range(2):  # a second walk builds its operators again: nothing outlives a walk
         seen.update(solves=0, builds=0, operators=set())
@@ -437,12 +438,12 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
         assert seen["solves"] > 100 * seen["builds"]
 
 
-def _cone_of(tower, i, k):
-    """The solved entries that stage (i, k) depends on, with their values."""
+def _cone_of(data, i, k):
+    """The solved entries of data that stage (i, k) depends on, with their values."""
     return tuple(
         sorted(
             (key, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in mor.values.items())))
-            for key, mor in tower.data.items()
+            for key, mor in data.items()
             if key[1] >= 1 and i <= key[0] and key[0] + key[1] <= i + k
         )
     )
@@ -469,19 +470,20 @@ def _run_walk(walk, algebra, seq):
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
 def test_walk_solves_each_cone_once(walk, seed, monkeypatch):
     algebra, seq = _tower_walk_shape(seed)
-    tower_solve, solve = kq.toda._Tower.solve, kq.toda.solve_for_values
+    walk_solve, solve = kq.toda._Walk.solve, kq.toda.solve_for_values
     seen = {"states": 0, "cones": set(), "solves": 0}
 
-    def counted_tower_solve(tower, i, k):
+    def counted_walk_solve(walk, keys, cone):
+        i, k = cone[:2]
         seen["states"] += 1
-        seen["cones"].add((i, k, _cone_of(tower, i, k)))
-        return tower_solve(tower, i, k)
+        seen["cones"].add((i, k, _cone_of(walk.data(keys), i, k)))
+        return walk_solve(walk, keys, cone)
 
     def counted_solve(*args, **kwargs):
         seen["solves"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(kq.toda._Tower, "solve", counted_tower_solve)
+    monkeypatch.setattr(kq.toda._Walk, "solve", counted_walk_solve)
     monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
     for _ in range(2):  # a second walk solves every cone again: nothing outlives a walk
         seen.update(states=0, cones=set(), solves=0)
@@ -490,6 +492,30 @@ def test_walk_solves_each_cone_once(walk, seed, monkeypatch):
         assert seen["states"] == 1365
         assert seen["solves"] == len(seen["cones"]) == 180
         assert budget.spent == 3241  # the same states, charged as when every state solved its stage
+
+
+@pytest.mark.parametrize("seed", [1, 431])
+@pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
+def test_walk_builds_each_member_once(walk, seed, monkeypatch):
+    algebra, seq = _tower_walk_shape(seed)
+    seen = {"instantiate": 0, "choice_log": 0, "cone": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("instantiate", "choice_log"):
+        monkeypatch.setattr(SolveResult, name, counted(name, getattr(SolveResult, name)))
+    monkeypatch.setattr(kq.toda._Walk, "cone", counted("cone", kq.toda._Walk.cone))
+    for _ in range(2):  # a second walk builds its members again: nothing outlives a walk
+        seen.update(instantiate=0, choice_log=0, cone=0)
+        _run_walk(walk, algebra, seq)
+        # one choice-log entry list per member, not one per state that picks it
+        assert seen["choice_log"] == seen["instantiate"] == 192
+        assert seen["cone"] == 1365  # one stage key per state
 
 
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])

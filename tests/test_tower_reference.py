@@ -29,7 +29,6 @@ from kq.toda import (
     BracketResult,
     HigherChainComplex,
     MorphismSequence,
-    _stages,
     adams_d,
     build_chain_complex,
     oracle_bracket_set,
@@ -90,6 +89,16 @@ class _Tower:
 
     def tainted(self):
         return any(m.tainted for m in self.data.values())
+
+
+def _stages(tower, length, n):
+    """The (index, level) nodes still missing from tower, in build order."""
+    return [
+        (i, k)
+        for k in range(1, n + 1)
+        for i in range(1, length - k + 1)
+        if (i, k) not in tower.data
+    ]
 
 
 def _walk(tower, stages, options, budget=None):
