@@ -188,62 +188,99 @@ class ChainAlgebra:
             if got != {x: 1}:
                 bad("unit", (x,), f"{x}*1 = {got}")
 
-        # mul_of(x, y) is nonzero only for a declared pair or a unit row, so a
-        # Leibniz pair or an associativity triple in which no such product
-        # occurs has {} on both sides; only the others are visited, in the
-        # order of the exhaustive loops.
+        # The candidates.  mul_of(x, y) is nonzero only for a declared pair or
+        # a unit row, so a Leibniz pair or an associativity triple in which no
+        # such product occurs has {} on both sides; only the others are
+        # visited, in the order of the exhaustive loops.
+        # The unit-row rule: when the report is still empty here, the unit is
+        # in (0,0), 1*x = x = x*1 for every name and d(1) = 0 (a nonzero d(1)
+        # lands at s = -1, a degree violation), so no pair or triple with the
+        # unit in it can fail, and the unit is skipped as a, b and c.  A
+        # nonempty report keeps every candidate.  Unit rows still lead to
+        # candidates without the unit: a b with 1 in d(b) makes a*d(b) read
+        # a*1 = a, so hit_by[unit] is kept, and so is partners[unit] for a 1
+        # in d(a) or in a*b.
+        skip = None if report else self.unit
         partners = self.partners()
         makers = defaultdict(set)  # z -> the pairs (x, y) whose x*y may contain z
         hit_by = defaultdict(set)  # y -> the b with y in d(b)
         for (x, y), row in self.mul.items():
-            for z in row:
-                makers[z].add((x, y))
-        for x in self.names:
-            makers[x].update(((self.unit, x), (x, self.unit)))
+            if skip not in (x, y):
+                for z in row:
+                    makers[z].add((x, y))
+        if skip is None:
+            for x in self.names:
+                makers[x].update(((self.unit, x), (x, self.unit)))
         for b, row in self.diff.items():
             for y in row:
                 hit_by[y].add(b)
         index = self._index.__getitem__
+        m = self.m
+        rows = {}  # (x, y) -> the row of x*y, read from the tables as they are now
+
+        def mul_row(x, y):
+            got = rows.get((x, y))
+            if got is None:
+                got = rows[(x, y)] = self.mul_of(x, y)[0]
+            return got
+
+        def times(vec, c):
+            """vec*c, keys in elem_mul's order."""
+            out = {}
+            for x, k in vec.items():
+                for z, v in mul_row(x, c).items():
+                    out[z] = (out.get(z, 0) + k * v) % m
+            return {z: v for z, v in out.items() if v}
+
+        def times_left(a, vec):
+            """a*vec, keys in elem_mul's order."""
+            out = {}
+            for y, k in vec.items():
+                for z, v in mul_row(a, y).items():
+                    out[z] = (out.get(z, 0) + k * v) % m
+            return {z: v for z, v in out.items() if v}
 
         for a in self.names:
+            if a == skip:
+                continue
             ra, sa = self.bidegree[a]
+            da = self.d_of(a)
             near = set(partners[a])
-            for x in self.d_of(a):
+            for x in da:
                 near |= partners[x]
             for y in partners[a]:
                 near |= hit_by[y]
+            near.discard(skip)
             for b in sorted(near, key=index):
                 rb, sb = self.bidegree[b]
                 if ra + rb > self.r_max or sa + sb > self.n + 1:
                     continue
-                ab, _ = self.mul_of(a, b)
-                lhs = self.elem_d(ab)
-                da_b, _ = self.elem_mul(self.d_of(a), {b: 1})
-                a_db, _ = self.elem_mul({a: 1}, self.d_of(b))
+                lhs = self.elem_d(mul_row(a, b))
                 sign = -1 if sa % 2 else 1
-                rhs = vec_add(da_b, a_db, scale=sign, m=self.m)
+                rhs = vec_add(times(da, b), times_left(a, self.d_of(b)), scale=sign, m=m)
                 if lhs != rhs:
                     bad("leibniz", (a, b), f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
 
         for a in self.names:
+            if a == skip:
+                continue
             ra, sa = self.bidegree[a]
             near = set()
             for b in partners[a]:
-                for x in self.mul_of(a, b)[0]:
-                    near.update((b, c) for c in partners[x])
+                if b != skip:
+                    for x in mul_row(a, b):
+                        near.update((b, c) for c in partners[x] if c != skip)
             for y in partners[a]:
                 near |= makers[y]
             for b, c in sorted(near, key=lambda bc: (index(bc[0]), index(bc[1]))):
                 rb, sb = self.bidegree[b]
                 if ra + rb > self.r_max or sa + sb > self.n:
                     continue
-                ab, _ = self.mul_of(a, b)
                 rc, sc = self.bidegree[c]
                 if ra + rb + rc > self.r_max or sa + sb + sc > self.n:
                     continue
-                bc, _ = self.mul_of(b, c)
-                left, _ = self.elem_mul(ab, {c: 1})
-                right, _ = self.elem_mul({a: 1}, bc)
+                left = times(mul_row(a, b), c)
+                right = times_left(a, mul_row(b, c))
                 if left != right:
                     bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
         return report

@@ -1,8 +1,9 @@
 """ChainAlgebra.validate against the exhaustive Leibniz and associativity loops.
 
 validate visits only the pairs and triples in which some product can be
-nonzero.  The reference below visits every pair and triple, so the two
-reports must agree entry for entry, order included.
+nonzero, and none with the unit in it when the sections before Leibniz
+reported nothing.  The reference below visits every pair and triple, so the
+two reports must agree entry for entry, order included.
 """
 
 import importlib.util
@@ -91,6 +92,77 @@ def test_universal_algebras_match_reference(order, modulus, free_cycle):
         want = reference(bad)
         assert any(v["axiom"] in ("leibniz", "associativity") for v in want)
         assert bad.validate() == want
+
+
+def corrupt_products(doc, rng):
+    """A copy with one product dropped or one product coefficient changed.
+
+    The differential, the basis and the unit rows are untouched, so the
+    sections before Leibniz stay clean and validate skips the unit rows.
+    """
+    m = doc["modulus"]
+    products = [dict(e) for e in doc["products"]]
+    t = rng.randrange(len(products))
+    if rng.random() < 0.5:
+        del products[t]
+    else:
+        terms = [dict(x) for x in products[t]["to"]]
+        term = rng.choice(terms)
+        term["coeff"] = (term["coeff"] + rng.randrange(1, m)) % m
+        products[t]["to"] = terms
+    return {**doc, "products": products}
+
+
+@pytest.mark.parametrize("free_cycle", [False, True])
+@pytest.mark.parametrize("modulus", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_product_corruptions_match_reference(order, modulus, free_cycle):
+    rng = random.Random(2000 * order + 10 * modulus + free_cycle)
+    doc = universal.algebra_doc(order, modulus, rng, free_cycle=free_cycle)
+    for _ in range(3):
+        bad = _algebra(corrupt_products(doc, rng))
+        want = reference(bad)
+        assert want and all(v["axiom"] in ("leibniz", "associativity") for v in want)
+        assert bad.validate() == want
+
+
+def mul_of_calls(q):
+    """validate's report and the (x, y) of each mul_of call it makes after the unit section."""
+    calls = []
+    real = q.mul_of
+
+    def spy(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    q.mul_of = spy
+    report = q.validate()
+    unit_section = [pair for x in q.names for pair in ((q.unit, x), (x, q.unit))]
+    assert calls[: len(unit_section)] == unit_section
+    return report, calls[len(unit_section) :]
+
+
+@pytest.mark.parametrize("free_cycle", [False, True])
+@pytest.mark.parametrize("modulus", [2, 9])
+@pytest.mark.parametrize("order", [1, 3])
+def test_valid_algebra_skips_the_unit_rows(order, modulus, free_cycle):
+    q = _algebra(universal.algebra_doc(order, modulus, random.Random(order + modulus), free_cycle=free_cycle))
+    report, calls = mul_of_calls(q)
+    assert report == [] and calls
+    assert [pair for pair in calls if q.unit in pair] == []
+
+
+def test_unit_rows_are_read_where_they_can_fail():
+    # b with d(b) = 1: the pair (a, b) reads a*1
+    report, calls = mul_of_calls(_unit_hit_algebra())
+    assert report == []
+    assert ("a", "1") in calls
+    # a broken unit row is reported before Leibniz, so every unit row is checked
+    q = make_massey_algebra()
+    q.mul[("1", "a")] = {}
+    report, calls = mul_of_calls(q)
+    assert report and report == reference(q)
+    assert [x for x in q.names if ("1", x) in calls] == list(q.names)
 
 
 @pytest.mark.parametrize("index", range(len(broken_variants())))
@@ -192,6 +264,10 @@ def _unit_row_cases():
     q = _unit_hit_algebra()
     del q.mul[("a", "b")]
     out["unit-hit-by-b-corrupted"] = q
+    # with b*a gone, (b, a) breaks Leibniz through d(b)*a = 1*a = a
+    q = _unit_hit_algebra()
+    del q.mul[("b", "a")]
+    out["unit-hit-by-b-left-factor-corrupted"] = q
     # declared products that restate unit rows override the default unit law
     q = _unit_hit_algebra()
     q.mul[("1", "c")] = {"c": 1}
