@@ -15,7 +15,6 @@ free graded modules) live here as well.
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .errors import InternalInvariantError, UserInputError
 from .exact_linalg import (
@@ -24,6 +23,7 @@ from .exact_linalg import (
     solve_dense,
     subquotient_presentation,
 )
+from .value import Value
 
 
 def vec_add(a, b, m, scale=1):
@@ -192,15 +192,15 @@ class ChainAlgebra:
         # a unit row, so a Leibniz pair or an associativity triple in which no
         # such product occurs has {} on both sides; only the others are
         # visited, in the order of the exhaustive loops.
-        # The unit-row rule: when the report is still empty here, the unit is
-        # in (0,0), 1*x = x = x*1 for every name and d(1) = 0 (a nonzero d(1)
-        # lands at s = -1, a degree violation), so no pair or triple with the
-        # unit in it can fail, and the unit is skipped as a, b and c.  A
-        # nonempty report keeps every candidate.  Unit rows still lead to
-        # candidates without the unit: a b with 1 in d(b) makes a*d(b) read
-        # a*1 = a, so hit_by[unit] is kept, and so is partners[unit] for a 1
-        # in d(a) or in a*b.
-        skip = None if report else self.unit
+        # The unit-row rule: when the report has no unit entry, the unit is in
+        # (0,0) and 1*x = x = x*1 for every name; if also d(1) = 0, no pair
+        # or triple with the unit in it can fail, whatever else failed, and
+        # the unit is skipped as a, b and c.  Otherwise every candidate is
+        # kept.  Unit rows still lead to candidates without the unit: a b
+        # with 1 in d(b) makes a*d(b) read a*1 = a, so hit_by[unit] is kept,
+        # and so is partners[unit] for a 1 in d(a) or in a*b.
+        unit_ok = not self.d_of(self.unit) and all(v["axiom"] != "unit" for v in report)
+        skip = self.unit if unit_ok else None
         partners = self.partners()
         makers = defaultdict(set)  # z -> the pairs (x, y) whose x*y may contain z
         hit_by = defaultdict(set)  # y -> the b with y in d(b)
@@ -297,14 +297,10 @@ def d_vectors(Q, r, s):
     return [[row.get(x, 0) % Q.m for x in below] for row in rows]
 
 
-@dataclass(frozen=True)
-class HClass:
+class HClass(Value):
     """A homology class: canonical coordinates plus its canonical cycle."""
 
-    k: int
-    r: int
-    coords: tuple
-    rep: tuple  # pairs (basis name, coeff), sorted
+    _fields = ("k", "r", "coords", "rep")  # rep: pairs (basis name, coeff), sorted
 
     def is_zero(self):
         return not any(self.coords)
@@ -455,11 +451,10 @@ def _unit_named(coords, free, unit, unit_coords, m):
 # computing one is recorded only in the TrackMorphism.tainted of its morphism
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(Value):
     """Finitely generated free graded module, concentrated in chain degree 0."""
 
-    generators: tuple  # pairs (name, upper degree)
+    _fields = ("generators",)  # pairs (name, upper degree)
 
     @staticmethod
     def of(pairs):
@@ -505,14 +500,11 @@ def tensor_d(Q, vec):
 # natural system elements
 
 
-@dataclass(frozen=True)
-class NatElem:
+class NatElem(Value):
     """Matrix over H_k from one free graded module to another."""
 
-    k: int
-    src: GradedModule
-    dst: GradedModule
-    entries: tuple  # ((j, i, HClass), ...) sorted by (j, i), nonzero classes
+    # src and dst are GradedModules; entries is ((j, i, HClass), ...) sorted by (j, i), nonzero classes
+    _fields = ("k", "src", "dst", "entries")
 
     @staticmethod
     def build(k, src, dst, entry_map):

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import traceback
 
 from . import __version__
 from .chain_algebra import homology, truncate
@@ -242,6 +241,8 @@ def _outcome(args):
     except UserInputError as exc:
         return _user_error(args.command, exc), 1
     except Exception as exc:  # a bug in the engine: still one JSON document, exit 2
+        import traceback  # here, not at the top: no other path of a command needs it
+
         traceback.print_exc()
         return {"command": args.command, "status": "error", "error": f"{type(exc).__name__}: {exc}", "kind": "internal"}, 2
 

@@ -26,11 +26,11 @@ them, and a cylinder cell's diagonal is read off its name, like a cube's.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product as iproduct
 
 from .errors import InternalInvariantError, UserInputError
+from .value import Value
 
 FREE = "*"
 
@@ -90,11 +90,10 @@ def serre_diagonal_word(word):
 # complexes
 
 
-@dataclass(frozen=True)
-class CubicalComplex:
+class CubicalComplex(Value):
     """A downward closed set of cells of a cube; the cells' words state its dimension."""
 
-    cells: frozenset
+    _fields = ("cells",)  # a frozenset of words
 
     @property
     def dim(self):
@@ -226,16 +225,17 @@ def complex_basis(complex_):
 # balls
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Value):
     """A based chain complex whose boundary is derived from its cells.
 
     Like its basis, a ball is an immutable value; cube_ball and corner_ball
     return one shared instance per argument list.
     """
 
-    basis: ChainBasis
-    label: str = ""
+    _fields = ("basis", "label")
+
+    def __init__(self, basis, label=""):
+        Value.__init__(self, basis, label)
 
     @cached_property
     def boundary(self):

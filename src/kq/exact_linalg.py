@@ -17,10 +17,10 @@ valuation at lowest index), so representatives and coordinate maps are
 reproducible too.
 """
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 from .errors import UserInputError
+from .value import Value
 
 
 @cache
@@ -198,13 +198,10 @@ def howell_reduce(vec, basis, m, pivots=None):
 # affine systems
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
+class AffineSolutionSet(Value):
     """All solutions of A x = b: particular + Z-span of the kernel basis."""
 
-    particular: tuple
-    kernel_basis: tuple
-    m: int
+    _fields = ("particular", "kernel_basis", "m")
 
     @property
     def kernel_rank(self):
@@ -230,8 +227,7 @@ def combine(start, coeffs, vectors, m):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LinearFactor:
+class LinearFactor(Value):
     """A over Z/m reduced once, to solve A x = b for any number of b.
 
     live and dead are the indices of the nonzero and the zero rows of A.
@@ -241,14 +237,7 @@ class LinearFactor:
     already the Howell basis of the kernel.  The pivots of both are kept.
     """
 
-    m: int
-    cols: int
-    live: tuple
-    dead: tuple
-    graph: tuple
-    graph_pivots: tuple
-    kernel_basis: tuple
-    kernel_pivots: tuple
+    _fields = ("m", "cols", "live", "dead", "graph", "graph_pivots", "kernel_basis", "kernel_pivots")
 
     def solve(self, b):
         """All solutions of A x = b as an AffineSolutionSet, or None if there is none."""
@@ -298,8 +287,7 @@ def solve_dense(A, b, m, cols=None):
 # presentations of finite Z/p^k modules
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """A finite Z/p^k module given by generators inside an ambient free module.
 
     reps[i] is an ambient vector representing the i-th generator, whose
@@ -307,13 +295,12 @@ class Presentation:
     (assumed to represent a class) to canonical coordinates.
     """
 
-    m: int
-    ambient_rank: int
-    order_exps: tuple
-    reps: tuple
-    _proj: tuple = field(repr=False)  # rows of the coordinate map
-    # the LinearFactor of the sub-generators as columns, or None for a quotient
-    _embed: LinearFactor = field(repr=False, default=None, compare=False)
+    _fields = ("m", "ambient_rank", "order_exps", "reps", "_proj")  # _proj: rows of the coordinate map
+
+    def __init__(self, m, ambient_rank, order_exps, reps, proj, embed=None):
+        Value.__init__(self, m, ambient_rank, order_exps, reps, proj)
+        # the LinearFactor of the sub-generators as columns, or None for a quotient; not compared
+        vars(self)["_embed"] = embed
 
     @property
     def rank(self):
@@ -378,7 +365,7 @@ def subquotient_presentation(sub_gens, relation_vectors, ambient_rank, m):
     subs = [tuple(x % m for x in g) for g in sub_gens]
     subs = [g for g in subs if any(g)]
     if not subs:
-        return Presentation(m, ambient_rank, (), (), (), _embed=None)
+        return Presentation(m, ambient_rank, (), (), ())
     s = len(subs)
     embed = factor([[subs[g][i] for g in range(s)] for i in range(ambient_rank)], m, cols=s)
     inner_rels = [list(v) for v in embed.kernel_basis]
@@ -389,4 +376,4 @@ def subquotient_presentation(sub_gens, relation_vectors, ambient_rank, m):
         inner_rels.append(list(sol.particular))
     inner = quotient_presentation(s, inner_rels, m)
     reps = tuple(combine([0] * ambient_rank, r, subs, m) for r in inner.reps)
-    return Presentation(m, ambient_rank, inner.order_exps, reps, inner._proj, _embed=embed)
+    return Presentation(m, ambient_rank, inner.order_exps, reps, inner._proj, embed=embed)

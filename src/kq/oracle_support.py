@@ -8,17 +8,16 @@ of visited states and aborts cleanly when exceeded.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import BudgetExceededError
 
 DEFAULT_BUDGET = 2**20
 
 
-@dataclass
 class EnumerationBudget:
-    max_points: int = DEFAULT_BUDGET
-    spent: int = 0
+    def __init__(self, max_points=DEFAULT_BUDGET, spent=0):
+        self.max_points = max_points
+        self.spent = spent
 
     def charge(self, n=1):
         self.spent += n

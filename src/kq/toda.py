@@ -23,28 +23,25 @@ branch, the oracle visits every leaf to produce the exact bracket set, and
 the chain-complex search stops at the first coherent leaf.
 """
 
-from dataclasses import dataclass, field
-
 from .chain_algebra import NatSystem, vec_add, vec_scale
 from .cubical import Ball, ChainBasis
 from .errors import UserInputError
 from .oracle_support import EnumerationBudget, enumerate_block_choices
 from .track import apply_q_linear, class_matrix, pt_morphism, solve_for_values
+from .value import Value
 
 DEFINED = "defined"
 NOT_CONSTRUCTIBLE = "not_constructible"
 WINDOW_UNSOUND = "degree_window_unsound"
 
 
-@dataclass(frozen=True)
-class MorphismSequence:
+class MorphismSequence(Value):
     """Maps X_N -> ... -> X_1 -> X_0 over the point, with chosen cycle lifts.
 
     maps[t] is the (t+1)-st map, from modules[t+1] to modules[t].
     """
 
-    modules: tuple
-    maps: tuple
+    _fields = ("modules", "maps")
 
     @staticmethod
     def of(modules, maps):
@@ -63,24 +60,24 @@ class MorphismSequence:
         return len(self.maps)
 
 
-@dataclass
 class BracketResult:
-    status: str
-    representative: object = None
-    step: int = None
-    index: int = None
-    certificate: dict = None
-    choice_log: list = field(default_factory=list)
+    def __init__(self, status, representative=None, step=None, index=None, certificate=None, choice_log=None):
+        self.status = status
+        self.representative = representative
+        self.step = step
+        self.index = index
+        self.certificate = certificate
+        self.choice_log = [] if choice_log is None else choice_log
 
 
-@dataclass
 class HigherChainComplex:
     """Coherent nullhomotopy data for a sequence through a given order."""
 
-    seq: MorphismSequence
-    order: int
-    data: dict  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
-    choice_log: list = field(default_factory=list)
+    def __init__(self, seq, order, data, choice_log=None):
+        self.seq = seq  # a MorphismSequence
+        self.order = order
+        self.data = data  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
+        self.choice_log = [] if choice_log is None else choice_log
 
 
 class _Walk:

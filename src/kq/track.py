@@ -21,14 +21,12 @@ enumeration; SolveResult.instantiate builds one member from it.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 
-from .chain_algebra import GradedModule, by_generator, pair_basis, tensor_d, vec_add
+from .chain_algebra import by_generator, pair_basis, tensor_d, vec_add
 from .cubical import (
     AttachedCylinder,
     Ball,
     CubicalComplex,
-    CylinderComplex,
     complex_basis,
     cylinder_ball,
     face_ball_of,
@@ -38,14 +36,14 @@ from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
 from .exact_linalg import factor
 
 
-@dataclass
 class TrackMorphism:
-    ball: Ball
-    src: GradedModule
-    dst: GradedModule
-    Q: object
-    values: dict  # (cell, generator index) -> {(target gen, algebra name): residue}, nonzero only
-    tainted: bool = False  # a window cutoff occurred while building
+    def __init__(self, ball, src, dst, Q, values, tainted=False):
+        self.ball = ball
+        self.src = src  # a GradedModule, as dst is
+        self.dst = dst
+        self.Q = Q
+        self.values = values  # (cell, generator index) -> {(target gen, algebra name): residue}, nonzero only
+        self.tainted = tainted  # a window cutoff occurred while building
 
     def value(self, cell, i):
         return self.values.get((cell, i), {})
@@ -227,10 +225,10 @@ def inject_cubical(f, position, digit, ambient_ball):
 # homotopies
 
 
-@dataclass
 class HomotopyWitness:
-    mor: TrackMorphism
-    cyl: CylinderComplex  # mor lives over cyl.basis; cyl.base is the base of both its ends
+    def __init__(self, mor, cyl):
+        self.mor = mor  # a TrackMorphism over cyl.basis
+        self.cyl = cyl  # a CylinderComplex; cyl.base is the base of both its ends
 
 
 def constant_homotopy(f):
@@ -243,18 +241,18 @@ def constant_homotopy(f):
 # the solver
 
 
-@dataclass
 class SolveBlock:
-    generator: int
-    slots: list  # (cell, (target gen, algebra name)) in solver column order
-    solutions: object  # AffineSolutionSet
-    chosen: tuple
+    def __init__(self, generator, slots, solutions, chosen):
+        self.generator = generator
+        self.slots = slots  # (cell, (target gen, algebra name)) in solver column order
+        self.solutions = solutions  # an AffineSolutionSet
+        self.chosen = chosen
 
 
-@dataclass
 class SolveResult:
-    morphism: TrackMorphism  # the prescribed values, or a member once instantiated
-    blocks: list = field(default_factory=list)
+    def __init__(self, morphism, blocks=None):
+        self.morphism = morphism  # the prescribed values, or a member once instantiated
+        self.blocks = [] if blocks is None else blocks
 
     def instantiate(self, choices=None):
         """The member picked by choices, built from the already solved blocks.

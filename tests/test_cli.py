@@ -245,6 +245,25 @@ def test_cli_byte_identical_member_process():
     assert r1.stdout == r2.stdout
 
 
+_IMPORT_CHECK = """
+import json, sys
+before = set(sys.modules)
+import kq.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_traceback():
+    # each command is a fresh process that pays for every module it loads, and no command needs these;
+    # traceback is imported on the exit-2 path only.  Every engine module still loads, so the
+    # benchmark tracer, which wraps the kq modules right after importing kq.cli, sees them all.
+    r = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], capture_output=True, cwd=Path(__file__).resolve().parent.parent)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout))
+    assert loaded & {"dataclasses", "inspect", "traceback"} == set()
+    assert {"kq.cubical", "kq.toda", "kq.track"} <= loaded
+
+
 def _oracle_args():
     return [
         "oracle",
@@ -313,7 +332,7 @@ def test_internal_error_is_json_exit_2(exc, monkeypatch, capsys):
         raise exc
 
     monkeypatch.setattr(kq.cli, "run", fail)
-    code, out, _ = run_cli(capsys, *_oracle_args())
+    code, out, err = run_cli(capsys, *_oracle_args())
     assert code == 2
     doc = json.loads(out)
     assert set(doc) == {"command", "status", "kind", "error"}
@@ -321,6 +340,9 @@ def test_internal_error_is_json_exit_2(exc, monkeypatch, capsys):
     assert doc["status"] == "error"
     assert doc["kind"] == "internal"
     assert str(exc) in doc["error"]
+    # the traceback goes to stderr, from the traceback module imported on this path only
+    assert "Traceback (most recent call last)" in err
+    assert f"{type(exc).__name__}: {exc}" in err
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ every position and digit must give the same values, ball cells, boundary
 rows, derived boundary and taint.
 """
 
-import dataclasses
 import random
 from itertools import product as iproduct
 
@@ -116,7 +115,8 @@ def test_inject_cubical_matches_reference(base, ambient):
     rng = random.Random(17)
     for tainted in (False, True):
         for _ in range(3):
-            f = dataclasses.replace(random_morphism(base, L, M, q, rng), tainted=tainted)
+            g = random_morphism(base, L, M, q, rng)
+            f = TrackMorphism(g.ball, g.src, g.dst, g.Q, g.values, tainted)
             for position in range(len(base.basis.cells()[0]) + 1):
                 for digit in (0, 1):
                     new = inject_cubical(f, position, digit, ambient)

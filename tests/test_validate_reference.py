@@ -2,8 +2,9 @@
 
 validate visits only the pairs and triples in which some product can be
 nonzero, and none with the unit in it when the sections before Leibniz
-reported nothing.  The reference below visits every pair and triple, so the
-two reports must agree entry for entry, order included.
+reported no unit entry and d(1) = 0, whatever else they reported.  The
+reference below visits every pair and triple, so the two reports must agree
+entry for entry, order included.
 """
 
 import importlib.util
@@ -91,7 +92,11 @@ def test_universal_algebras_match_reference(order, modulus, free_cycle):
         bad = _algebra(universal.corrupt(doc, rng))
         want = reference(bad)
         assert any(v["axiom"] in ("leibniz", "associativity") for v in want)
-        assert bad.validate() == want
+        # universal.corrupt changes no unit row and not d(1), so the unit is skipped whatever else failed
+        report, calls = mul_of_calls(bad)
+        assert report == want
+        assert all(v["axiom"] != "unit" for v in report)
+        assert unit_calls(bad, calls) == []
 
 
 def corrupt_products(doc, rng):
@@ -142,6 +147,10 @@ def mul_of_calls(q):
     return report, calls[len(unit_section) :]
 
 
+def unit_calls(q, calls):
+    return [pair for pair in calls if q.unit in pair]
+
+
 @pytest.mark.parametrize("free_cycle", [False, True])
 @pytest.mark.parametrize("modulus", [2, 9])
 @pytest.mark.parametrize("order", [1, 3])
@@ -149,7 +158,47 @@ def test_valid_algebra_skips_the_unit_rows(order, modulus, free_cycle):
     q = _algebra(universal.algebra_doc(order, modulus, random.Random(order + modulus), free_cycle=free_cycle))
     report, calls = mul_of_calls(q)
     assert report == [] and calls
-    assert [pair for pair in calls if q.unit in pair] == []
+    assert unit_calls(q, calls) == []
+
+
+def corrupt_d_squared(doc):
+    """A copy whose d(d(a)) is nonzero for the first a whose d hits an x with d(x) != 0.
+
+    The coefficient of that x in d(a) is raised by 1, so d(d(a)) changes by d(x).
+    """
+    m = doc["modulus"]
+    hit = {e["from"] for e in doc["differential"]}
+    diff = [dict(e) for e in doc["differential"]]
+    entry = next(e for e in diff if any(t["gen"] in hit for t in e["to"]))
+    t = next(i for i, term in enumerate(entry["to"]) if term["gen"] in hit)
+    entry["to"] = [dict(term) for term in entry["to"]]
+    entry["to"][t]["coeff"] = (entry["to"][t]["coeff"] + 1) % m
+    return {**doc, "differential": diff}
+
+
+@pytest.mark.parametrize("free_cycle", [False, True])
+@pytest.mark.parametrize("modulus", [2, 9])
+@pytest.mark.parametrize("order", [2, 3])
+def test_d_squared_failure_skips_the_unit_rows(order, modulus, free_cycle):
+    doc = universal.algebra_doc(order, modulus, random.Random(order + modulus), free_cycle=free_cycle)
+    q = _algebra(corrupt_d_squared(doc))
+    report, calls = mul_of_calls(q)
+    assert report == reference(q)
+    assert "d_squared" in {v["axiom"] for v in report}
+    assert calls and unit_calls(q, calls) == []
+
+
+def test_nonzero_d_of_the_unit_keeps_the_unit_rows():
+    # d(1) = a breaks Leibniz for (1, a), (a, 1) and (1, 1) through a*a = aa and d(1) = a,
+    # while 1*x = x = x*1 still holds for every x: only d(1) tells these pairs apart
+    elements = [("1", 0, 0), ("a", 1, 0), ("aa", 2, 0)]
+    q = ChainAlgebra(3, 1, 2, elements, "1", {"1": {"a": 1}}, {("a", "a"): {"aa": 1}})
+    report, calls = mul_of_calls(q)
+    assert report == reference(q)
+    assert all(v["axiom"] != "unit" for v in report)
+    leibniz = {v["witness"] for v in report if v["axiom"] == "leibniz"}
+    assert {("1", "a"), ("a", "1"), ("1", "1")} <= leibniz
+    assert unit_calls(q, calls)
 
 
 def test_unit_rows_are_read_where_they_can_fail():
