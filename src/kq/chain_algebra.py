@@ -41,6 +41,18 @@ def vec_scale(a, c, m):
 # the algebra
 
 
+class _Rows(dict):
+    """(x, y) -> the row of x*y, read through mul_of on first use."""
+
+    def __init__(self, mul_of):
+        super().__init__()
+        self.mul_of = mul_of
+
+    def __missing__(self, pair):
+        row = self[pair] = self.mul_of(*pair)[0]
+        return row
+
+
 class ChainAlgebra:
     """Finite bigraded basis with differential and multiplication constants.
 
@@ -175,10 +187,21 @@ class ChainAlgebra:
                 if self.bidegree[x] != (ra + rb, sa + sb):
                     bad("degree", (a, b, x), "product does not add bidegrees")
 
+        # The d^2, Leibniz and associativity checks each sum one difference
+        # in an integer dict, unreduced: the two sides agree exactly when
+        # every entry is 0 mod m, and they are built only for a report.
+        diff = self.diff
+        m = self.m
+        empty = {}
         for a in self.names:
-            dd = self.elem_d(self.elem_d({a: 1}))
-            if dd:
-                bad("d_squared", (a,), f"d(d({a})) = {dd}")
+            acc = {}  # d(d(a))
+            for x, k in diff.get(a, empty).items():
+                for z, v in diff.get(x, empty).items():
+                    acc[z] = acc.get(z, 0) + k * v
+            for v in acc.values():
+                if v % m:
+                    bad("d_squared", (a,), f"d(d({a})) = {self.elem_d(self.elem_d({a: 1}))}")
+                    break
 
         for x in self.names:
             got, _ = self.mul_of(self.unit, x)
@@ -215,20 +238,13 @@ class ChainAlgebra:
             for y in row:
                 hit_by[y].add(b)
         index = self._index.__getitem__
-        m = self.m
-        rows = {}  # (x, y) -> the row of x*y, read from the tables as they are now
-
-        def mul_row(x, y):
-            got = rows.get((x, y))
-            if got is None:
-                got = rows[(x, y)] = self.mul_of(x, y)[0]
-            return got
+        rows = _Rows(self.mul_of)  # read from the tables as they are now
 
         def times(vec, c):
             """vec*c, keys in elem_mul's order."""
             out = {}
             for x, k in vec.items():
-                for z, v in mul_row(x, c).items():
+                for z, v in rows[x, c].items():
                     out[z] = (out.get(z, 0) + k * v) % m
             return {z: v for z, v in out.items() if v}
 
@@ -236,7 +252,7 @@ class ChainAlgebra:
             """a*vec, keys in elem_mul's order."""
             out = {}
             for y, k in vec.items():
-                for z, v in mul_row(a, y).items():
+                for z, v in rows[a, y].items():
                     out[z] = (out.get(z, 0) + k * v) % m
             return {z: v for z, v in out.items() if v}
 
@@ -244,6 +260,7 @@ class ChainAlgebra:
             if a == skip:
                 continue
             ra, sa = self.bidegree[a]
+            sign = -1 if sa % 2 else 1
             da = self.d_of(a)
             near = set(partners[a])
             for x in da:
@@ -255,11 +272,23 @@ class ChainAlgebra:
                 rb, sb = self.bidegree[b]
                 if ra + rb > self.r_max or sa + sb > self.n + 1:
                     continue
-                lhs = self.elem_d(mul_row(a, b))
-                sign = -1 if sa % 2 else 1
-                rhs = vec_add(times(da, b), times_left(a, self.d_of(b)), scale=sign, m=m)
-                if lhs != rhs:
-                    bad("leibniz", (a, b), f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
+                db = diff.get(b, empty)
+                acc = {}  # d(a*b) - d(a)*b - sign*a*d(b)
+                for x, k in rows[a, b].items():
+                    for z, v in diff.get(x, empty).items():
+                        acc[z] = acc.get(z, 0) + k * v
+                for x, k in da.items():
+                    for z, v in rows[x, b].items():
+                        acc[z] = acc.get(z, 0) - k * v
+                for y, k in db.items():
+                    for z, v in rows[a, y].items():
+                        acc[z] = acc.get(z, 0) - sign * k * v
+                for v in acc.values():
+                    if v % m:
+                        lhs = self.elem_d(rows[a, b])
+                        rhs = vec_add(times(da, b), times_left(a, db), scale=sign, m=m)
+                        bad("leibniz", (a, b), f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
+                        break
 
         for a in self.names:
             if a == skip:
@@ -268,7 +297,7 @@ class ChainAlgebra:
             near = set()
             for b in partners[a]:
                 if b != skip:
-                    for x in mul_row(a, b):
+                    for x in rows[a, b]:
                         near.update((b, c) for c in partners[x] if c != skip)
             for y in partners[a]:
                 near |= makers[y]
@@ -279,10 +308,19 @@ class ChainAlgebra:
                 rc, sc = self.bidegree[c]
                 if ra + rb + rc > self.r_max or sa + sb + sc > self.n:
                     continue
-                left = times(mul_row(a, b), c)
-                right = times_left(a, mul_row(b, c))
-                if left != right:
-                    bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
+                acc = {}  # (a*b)*c - a*(b*c)
+                for x, k in rows[a, b].items():
+                    for z, v in rows[x, c].items():
+                        acc[z] = acc.get(z, 0) + k * v
+                for y, k in rows[b, c].items():
+                    for z, v in rows[a, y].items():
+                        acc[z] = acc.get(z, 0) - k * v
+                for v in acc.values():
+                    if v % m:
+                        left = times(rows[a, b], c)
+                        right = times_left(a, rows[b, c])
+                        bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
+                        break
         return report
 
 

@@ -57,7 +57,10 @@ def _load_json(path, what):
 
 
 def _emit(doc, out_path=None):
-    """Write the document to out_path, if given, and then to stdout."""
+    """Write the document to out_path, if given, and then to stdout, and flush stdout.
+
+    False when stdout cannot be written, which is reported on stderr here.
+    """
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if out_path:
         try:
@@ -65,7 +68,13 @@ def _emit(doc, out_path=None):
                 fh.write(payload)
         except OSError as exc:
             raise UserInputError(f"cannot write the --out file: {out_path}: {exc.strerror or exc}")
-    sys.stdout.write(payload)
+    try:
+        sys.stdout.write(payload)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write the result to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _load_algebra(args, result, require_valid=True):
@@ -248,6 +257,7 @@ def _outcome(args):
 
 
 def main(argv=None):
+    """Run one command line and return its exit code; the process goes on."""
     try:
         args = build_parser().parse_args(argv)
     except UserInputError as exc:  # the command line itself did not parse
@@ -255,12 +265,29 @@ def main(argv=None):
         return 1
     doc, code = _outcome(args)
     try:
-        _emit(doc, args.out)
+        written = _emit(doc, args.out)
     except UserInputError as exc:  # the --out file cannot be written: report that instead
         _emit(_user_error(args.command, exc))
         return 1
-    return code
+    return code if written else 1
+
+
+def entry_point():
+    """Run main() on sys.argv and end the process with its exit code.
+
+    Both `python -m kq` and the `engine` script end here.  _emit has written
+    and flushed the result, stderr is flushed here, and os._exit then skips
+    the interpreter's teardown of every module and object.  stdout is not
+    flushed again: after a failed write it still holds the result, which
+    _emit has already reported.  Skipping the teardown loses nothing: kq
+    registers no atexit handler, and the --out file is closed by its with
+    block inside _emit.  A SystemExit from argparse (--help) leaves through
+    the normal interpreter exit.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -13,14 +13,26 @@ from .toda import MorphismSequence
 from .track import pt_morphism
 
 
+def _path(where):
+    """A field path's text: () is the document, ("maps", 0, "entries", 2) is maps[0].entries[2]."""
+    out = ""
+    for part in where:
+        if isinstance(part, int):
+            out += f"[{part}]"
+        else:
+            out += f".{part}" if out else part
+    return out or "document"
+
+
 def _need(doc, key, where, types):
+    """doc[key], checked; where is the path of doc as a tuple, formatted only for an error."""
     if not isinstance(doc, dict):
-        raise UserInputError(f"expected an object at {where}")
+        raise UserInputError(f"expected an object at {_path(where)}")
     if key not in doc:
-        raise UserInputError(f"missing field {key!r} at {where}")
+        raise UserInputError(f"missing field {key!r} at {_path(where)}")
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, types):  # no field is boolean, and bool is an int
-        raise UserInputError(f"field {key!r} at {where} has the wrong type")
+        raise UserInputError(f"field {key!r} at {_path(where)} has the wrong type")
     return val
 
 
@@ -28,42 +40,46 @@ def _coeff_list(val, where):
     """The vector of a {gen, coeff} list, which every caller has already checked to be a list."""
     out = {}
     for t, item in enumerate(val):
-        gen = _need(item, "gen", f"{where}[{t}]", str)
-        coeff = _need(item, "coeff", f"{where}[{t}]", int)
+        at = (*where, t)
+        gen = _need(item, "gen", at, str)
+        coeff = _need(item, "coeff", at, int)
         out[gen] = out.get(gen, 0) + coeff
     return out
 
 
 def _optional_list(doc, key):
-    return _need(doc, key, "document", list) if key in doc else []
+    return _need(doc, key, (), list) if key in doc else []
 
 
 def parse_algebra(doc):
     """(algebra, axiom violations); schema problems raise with a path."""
-    m = _need(doc, "modulus", "document", int)
-    n = _need(doc, "truncation", "document", int)
-    r_max = _need(doc, "rMax", "document", int)
-    basis = _need(doc, "basis", "document", list)
-    unit = _need(doc, "unit", "document", str)
+    m = _need(doc, "modulus", (), int)
+    n = _need(doc, "truncation", (), int)
+    r_max = _need(doc, "rMax", (), int)
+    basis = _need(doc, "basis", (), list)
+    unit = _need(doc, "unit", (), str)
     elements = []
     for t, item in enumerate(basis):
-        name = _need(item, "name", f"basis[{t}]", str)
-        r = _need(item, "r", f"basis[{t}]", int)
-        s = _need(item, "s", f"basis[{t}]", int)
+        at = ("basis", t)
+        name = _need(item, "name", at, str)
+        r = _need(item, "r", at, int)
+        s = _need(item, "s", at, int)
         elements.append((name, r, s))
     diff = {}
     for t, item in enumerate(_optional_list(doc, "differential")):
-        src = _need(item, "from", f"differential[{t}]", str)
+        at = ("differential", t)
+        src = _need(item, "from", at, str)
         if src in diff:
             raise UserInputError(f"duplicate differential entry at differential[{t}]")
-        diff[src] = _coeff_list(_need(item, "to", f"differential[{t}]", list), f"differential[{t}].to")
+        diff[src] = _coeff_list(_need(item, "to", at, list), (*at, "to"))
     mul = {}
     for t, item in enumerate(_optional_list(doc, "products")):
-        left = _need(item, "left", f"products[{t}]", str)
-        right = _need(item, "right", f"products[{t}]", str)
+        at = ("products", t)
+        left = _need(item, "left", at, str)
+        right = _need(item, "right", at, str)
         if (left, right) in mul:
             raise UserInputError(f"duplicate product entry at products[{t}]")
-        mul[(left, right)] = _coeff_list(_need(item, "to", f"products[{t}]", list), f"products[{t}].to")
+        mul[(left, right)] = _coeff_list(_need(item, "to", at, list), (*at, "to"))
     algebra = ChainAlgebra(m, n, r_max, elements, unit, diff, mul)
     return algebra, algebra.validate()
 
@@ -97,16 +113,12 @@ def algebra_to_dict(Q):
 def parse_sequence(doc, Q):
     mods = []
     names = {}
-    for t, item in enumerate(_need(doc, "modules", "document", list)):
-        name = _need(item, "name", f"modules[{t}]", str)
+    for t, item in enumerate(_need(doc, "modules", (), list)):
+        name = _need(item, "name", ("modules", t), str)
         gens = []
-        for u, g in enumerate(_need(item, "generators", f"modules[{t}]", list)):
-            gens.append(
-                (
-                    _need(g, "name", f"modules[{t}].generators[{u}]", str),
-                    _need(g, "r", f"modules[{t}].generators[{u}]", int),
-                )
-            )
+        for u, g in enumerate(_need(item, "generators", ("modules", t), list)):
+            at = ("modules", t, "generators", u)
+            gens.append((_need(g, "name", at, str), _need(g, "r", at, int)))
         mod = GradedModule.of(gens)
         if name in names:
             raise UserInputError(f"duplicate module name {name!r}")
@@ -114,9 +126,9 @@ def parse_sequence(doc, Q):
         mods.append((name, mod))
     maps = []
     pt = point_ball()
-    for t, item in enumerate(_need(doc, "maps", "document", list)):
-        src_name = _need(item, "from", f"maps[{t}]", str)
-        dst_name = _need(item, "to", f"maps[{t}]", str)
+    for t, item in enumerate(_need(doc, "maps", (), list)):
+        src_name = _need(item, "from", ("maps", t), str)
+        dst_name = _need(item, "to", ("maps", t), str)
         if t + 1 >= len(mods) or mods[t + 1][0] != src_name or mods[t][0] != dst_name:
             raise UserInputError(
                 f"maps[{t}] must go from modules[{t + 1}] to modules[{t}] in order"
@@ -124,14 +136,15 @@ def parse_sequence(doc, Q):
         src = names[src_name]
         dst = names[dst_name]
         entries = {}
-        for u, e in enumerate(_need(item, "entries", f"maps[{t}]", list)):
-            row = _need(e, "row", f"maps[{t}].entries[{u}]", int)
-            col = _need(e, "col", f"maps[{t}].entries[{u}]", int)
+        for u, e in enumerate(_need(item, "entries", ("maps", t), list)):
+            at = ("maps", t, "entries", u)
+            row = _need(e, "row", at, int)
+            col = _need(e, "col", at, int)
             if not (0 <= row < dst.size and 0 <= col < src.size):
                 raise UserInputError(f"entry indices out of range at maps[{t}].entries[{u}]")
             if (row, col) in entries:
                 raise UserInputError(f"duplicate map entry at maps[{t}].entries[{u}]")
-            vec = _coeff_list(_need(e, "value", f"maps[{t}].entries[{u}]", list), f"maps[{t}].entries[{u}].value")
+            vec = _coeff_list(_need(e, "value", at, list), (*at, "value"))
             need_r = src.degree(col) - dst.degree(row)
             for g in vec:
                 if g not in Q.bidegree:

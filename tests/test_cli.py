@@ -1,5 +1,10 @@
+import ast
+import errno
+import hashlib
 import json
+import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +18,11 @@ from kq.documents import algebra_to_dict, parse_algebra, parse_sequence
 from kq.toda import toda_bracket
 
 from test_closed_form import universal
-from test_golden_stdout import window_cut
+from test_golden_stdout import TABLE, cases as golden_cases, window_cut
 from test_validate_reference import _unit_hit_algebra
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +268,111 @@ def test_import_loads_no_dataclasses_inspect_or_traceback():
     loaded = set(json.loads(r.stdout))
     assert loaded & {"dataclasses", "inspect", "traceback"} == set()
     assert {"kq.cubical", "kq.toda", "kq.track"} <= loaded
+
+
+def _child_env(**extra):
+    """An engine child's environment: src on the path, no budget, and stdout buffered as on a pipe.
+
+    With PYTHONUNBUFFERED set, every write goes straight through, so a result
+    that the engine forgot to flush before ending the process would not show.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "ENGINE_BUDGET")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+def _child(*args, **kwargs):
+    return subprocess.run([sys.executable, *args], capture_output=True, cwd=ROOT, env=_child_env(), **kwargs)
+
+
+# golden rows with one of each command, exit-1 rows among them, run through `python -m kq`
+MODULE_ROWS = (
+    "validate massey_algebra",
+    "validate massey_sequence_abc",
+    "truncate --n 1 z4-torsion",
+    "homology --k 1 massey",
+    "toda massey",
+    "massey massey",
+    "toda massey-five-modules",
+    "oracle --budget 5 universal-3-4-z",
+    "chain-complex massey-ab",
+    "adams-d massey",
+    "adams-d massey-a1b",
+)
+
+
+@pytest.fixture(scope="module")
+def golden_argv(tmp_path_factory):
+    return golden_cases(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("label", MODULE_ROWS)
+def test_module_entry_matches_golden_row(label, golden_argv):
+    want = json.loads(TABLE.read_text(encoding="utf-8"))[label]
+    r = _child("-m", "kq", *golden_argv[label])
+    assert [r.returncode, hashlib.sha256(r.stdout).hexdigest()] == want, r.stderr
+
+
+_RAISE_IN_RUN = """
+import runpy
+import kq.cli
+
+def fail(args):
+    raise RuntimeError("boom")
+
+kq.cli.run = fail
+runpy.run_module("kq", run_name="__main__")
+"""
+
+
+def test_module_entry_internal_error_is_one_json_document_exit_2():
+    r = _child("-c", _RAISE_IN_RUN, *_oracle_args())
+    assert r.returncode == 2
+    assert r.stdout.count(b"\n") == 1
+    doc = json.loads(r.stdout)
+    assert (doc["command"], doc["kind"], doc["error"]) == ("oracle", "internal", "RuntimeError: boom")
+    assert b"Traceback (most recent call last)" in r.stderr
+    assert r.stderr.rstrip().endswith(b"RuntimeError: boom")
+
+
+def test_module_entry_out_file_matches_stdout(tmp_path):
+    target = tmp_path / "result.json"
+    r = _child("-m", "kq", *_oracle_args(), "--out", str(target))
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["set_size"] == 1
+    assert target.read_bytes() == r.stdout
+
+
+def test_module_entry_help_exits_zero():
+    r = _child("-m", "kq", "--help")
+    assert r.returncode == 0
+    assert r.stdout.startswith(b"usage: engine")
+
+
+def test_engine_script_is_the_module_entry():
+    # both entry points end through the one function that flushes and exits
+    script = re.search(r'^engine = "kq\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    tree = ast.parse((ROOT / "src" / "kq" / "__main__.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module, node.level) == ("cli", 1)
+        for alias in node.names
+    ]
+    called = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert imported == called == [script]
+    assert callable(getattr(kq.cli, script))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_unwritable_stdout_is_one_error_line_and_exit_1(unbuffered):
+    env = _child_env(PYTHONUNBUFFERED="1") if unbuffered else _child_env()
+    argv = [sys.executable, "-m", "kq", "validate", "--algebra", str(FIXTURES / "massey_algebra.json")]
+    with open("/dev/full", "wb") as full:
+        r = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, cwd=ROOT, env=env)
+    assert r.returncode == 1
+    assert r.stderr.decode() == f"error: cannot write the result to stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def _oracle_args():
