@@ -3,7 +3,8 @@
 Solution sets of the morphism solver are walked coefficient by coefficient;
 the effective range of each kernel direction is its order, so every member
 is produced exactly once, in a fixed order.  A budget caps the total number
-of visited states and aborts cleanly when exceeded.
+of charged states, walked or stood for by an isomorphic subtree
+(kq.toda._walk), and aborts cleanly when exceeded.
 """
 
 import itertools

@@ -91,6 +91,7 @@ class _Walk:
     """
 
     def __init__(self, seq, n, prescribed=None):
+        self.modules, self.n = seq.modules, n
         self.given = {(i, 0): f for i, f in enumerate(seq.maps, 1)}
         self.given.update(prescribed or {})
         self.stages = [
@@ -102,6 +103,7 @@ class _Walk:
         self.members = {}  # (stage key, pick) -> member key
         self.built = []  # member key -> (TrackMorphism, its choice-log entries)
         self.products = {}  # (i, r, k, left key, right key) -> (vectors, taint)
+        self.inert_masks = {}  # stage -> its inert kernel directions, per block
 
     def key(self, keys, i, k):
         """The member key of a(i,k) in state keys, None for a given entry."""
@@ -172,6 +174,63 @@ class _Walk:
             )
         return self.solves[cone]
 
+    def inert(self, i, k, res):
+        """Per block of the solved stage (i, k), which kernel directions are inert; None if none is.
+
+        A direction v is inert when no name in its support takes part in a
+        declared product, no given entry contains the unit (members sit at
+        level >= 1 and never do), and the window cuts none of v's products.
+        For the last: a value of a(i,k) at source generator g and target
+        generator j lies in upper degree deg g - deg j, as does a given
+        map's (parse_sequence checks it).  a(i,k) is the left factor of
+        a(i,k)*a(i+k+1,K-1-k), from X_(i+K), and the right factor of
+        a(i-r-1,r)*a(i,k), into X_(i-r-2), for K = r+1+k <= n+1, so r(x) +
+        r(y) for x in v and y in the other factor is the degree of the outer
+        source generator minus that of the outer target one.  Only a y of
+        upper degree 0..r_max can be a name, so only those count.  The
+        kernel of a stage is that of its operator, the same in every state,
+        so the answer is worked out once per stage.
+
+        The walk uses a member only through products, in corner sums and
+        obstructions.  For x in v's support and y a name in a factor it
+        meets, mul_of(x, y) is not cut, and it is {} as (x, y) and (y, x) are
+        not declared and neither x nor y is the unit.  Products are
+        bilinear, so adding multiples of inert directions to a(i,k) changes
+        no product and no cut flag it takes part in: not even where a name of
+        the particular solution cancels, as that name is then in v's support.
+        Every later stage then sees the same right-hand side and taint, so
+        two picks that differ only in inert coordinates have isomorphic
+        subtrees: the same solvable stages with the same options, charges,
+        taints, leaf classes and failures, in the same order.  The condition
+        is sufficient, not necessary: a cut product or a declared one may
+        still vanish on the walk's entries.
+        """
+        if (i, k) not in self.inert_masks:
+            Q, mods = res.morphism.Q, self.modules
+            src, dst = mods[i + k], mods[i - 1]
+            multiplied = {x for pair in Q.mul for x in pair}
+            unit_free = all(x != Q.unit for f in self.given.values() for vec in f.values.values() for _, x in vec)
+            last = min(i + self.n + 1, len(mods) - 1)
+            far = [d for t in range(i + k + 1, last + 1) for _, d in mods[t].generators]  # outer sources
+            near = [d for t in range(max(i + k - self.n - 2, 0), i - 1) for _, d in mods[t].generators]  # outer targets
+
+            def cut(g, j):
+                """Whether the window may cut a product of the value of a(i,k) at (g, j)."""
+                dg, dj = src.degree(g), dst.degree(j)
+                ys = [d - dg for d in far] + [dj - d for d in near]  # upper degrees of the factors it meets
+                return any(dg - dj + y > Q.r_max for y in ys if 0 <= y <= Q.r_max)
+
+            masks = tuple(
+                tuple(
+                    unit_free
+                    and all(x not in multiplied and not cut(b.generator, j) for (_, (j, x)), c in zip(b.slots, row) if c)
+                    for row in b.solutions.kernel_basis
+                )
+                for b in res.blocks
+            )
+            self.inert_masks[(i, k)] = masks if any(any(mask) for mask in masks) else None
+        return self.inert_masks[(i, k)]
+
     def member(self, cone, pick, res, choice):
         """The member key of res.instantiate(choice), built with its choice-log entries once per stage key and pick.
 
@@ -187,12 +246,22 @@ class _Walk:
 
 
 def _walk(walk, options, budget=None, keys=()):
-    """Every leaf of the choice tree below the state keys, depth first.
+    """Every leaf of the choice tree below the state keys, depth first, one subtree per class of inert picks.
 
     Each state works out its stage key once and lists the choices in that
     stage's solution set with options(stage, result).  Yields (keys, None)
     for a completed state and (keys, failure) for a stage without solution.
-    budget, if given, is charged once per state.
+    budget, if given, is charged once per state, walked or stood for.
+
+    With a budget (the enumerating walks), a pick with an inert coordinate
+    (_Walk.inert) other than 0 stands for a subtree isomorphic to that of
+    its representative, the pick with those coordinates 0, which
+    itertools.product order lists and walks first.  It is not walked but
+    charged the charge recorded for the representative's subtree, unless
+    that would cross the budget: then it is walked, so the error comes at
+    the same partial sum with the same message.  Every leaf left out has a
+    twin with the same class, taint and failure yielded before it, and the
+    last leaf yielded is the twin of the last leaf of the whole tree.
     """
     if budget is not None:
         budget.charge()
@@ -205,8 +274,18 @@ def _walk(walk, options, budget=None, keys=()):
     if res is None:
         yield keys, {"step": k, "index": i, "certificate": cert}
         return
+    inert = budget is not None and walk.inert(i, k, res)
+    charges = {}  # representative -> the charge of its subtree
     for pick, choice in enumerate(options((i, k), res)):
+        if inert:
+            rep = tuple(tuple(0 if flag else c for c, flag in zip(cs, mask)) for cs, mask in zip(choice.values(), inert))
+            if rep in charges and budget.spent + charges[rep] <= budget.max_points:
+                budget.charge(charges[rep])
+                continue
+            spent = budget.spent
         yield from _walk(walk, options, budget, keys + (walk.member(cone, pick, res, choice),))
+        if inert:
+            charges.setdefault(rep, budget.spent - spent)
 
 
 def _every_choice(budget):

@@ -32,12 +32,12 @@ TABLE = Path(__file__).resolve().parent / "golden_stdout.json"
 # bracket has a nonempty indeterminacy, over Z/3, Z/2, Z/4 and Z/2
 INDETERMINACY_CASES = ((0, 0), (13, 2), (22, 2), (27, 0))
 
-# (order, modulus, free cycle) whose oracle or chain-complex search takes
-# over a second; their toda and adams-d commands stay in the table
-SLOW_SEARCHES = {(3, 9, True)}
-
 # budgets for the oracle, chain-complex and adams-d walks on universal-3-4-z
 BUDGET_LADDER = (1, 5, 40, 300, 1000)
+
+# budgets below the default for the oracle and chain-complex walks on
+# universal-4-9-z, whose choice tree outgrows the default budget as well
+LARGE_LADDER = (5000, 200000)
 
 
 def hand_doc(modulus, truncation, r_max, basis, differential=(), products=()):
@@ -109,6 +109,15 @@ def point_sequence(generators, letters):
     return {"modules": modules, "maps": maps}
 
 
+def universal_docs(work, order, modulus, free_cycle):
+    """Write the universal algebra and its sequence; returns the stem, the algebra path and the bracket arguments."""
+    rng = random.Random(100 * modulus + 10 * order + free_cycle)
+    stem = f"universal-{order}-{modulus}{'-z' if free_cycle else ''}"
+    alg = _write(work / f"{stem}.json", universal.algebra_doc(order, modulus, rng, free_cycle))
+    seq = _write(work / f"{stem}-seq.json", universal.sequence_doc(order, universal.draw_units(order, modulus, rng)))
+    return stem, alg, ["--algebra", alg, "--sequence", seq, "--n", str(order)]
+
+
 def cases(work):
     """Write the generated documents into work; returns {label: argv}."""
     out = {}
@@ -141,16 +150,9 @@ def cases(work):
     for order in (1, 2, 3):
         for modulus in (2, 3, 4, 9):
             for free_cycle in (False, True):
-                rng = random.Random(100 * modulus + 10 * order + free_cycle)
-                stem = f"universal-{order}-{modulus}{'-z' if free_cycle else ''}"
-                alg = _write(work / f"{stem}.json", universal.algebra_doc(order, modulus, rng, free_cycle))
-                units = universal.draw_units(order, modulus, rng)
-                seq = _write(work / f"{stem}-seq.json", universal.sequence_doc(order, units))
-                commands = ["toda", "oracle", "chain-complex", "adams-d"]
-                if (order, modulus, free_cycle) in SLOW_SEARCHES:
-                    commands = ["toda", "adams-d"]
-                for command in commands:
-                    out[f"{command} {stem}"] = [command, "--algebra", alg, "--sequence", seq, "--n", str(order)]
+                stem, alg, common = universal_docs(work, order, modulus, free_cycle)
+                for command in ("toda", "oracle", "chain-complex", "adams-d"):
+                    out[f"{command} {stem}"] = [command, *common]
                 for level in range(1, order):  # below the top level, so products are projected
                     out[f"truncate --n {level} {stem}"] = ["truncate", "--algebra", alg, "--n", str(level)]
 
@@ -160,6 +162,14 @@ def cases(work):
     common = ["--algebra", str(work / f"{stem}.json"), "--sequence", str(work / f"{stem}-seq.json"), "--n", "3"]
     for command in ("oracle", "chain-complex", "adams-d"):
         for budget in BUDGET_LADDER:
+            out[f"{command} --budget {budget} {stem}"] = [command, *common, "--budget", str(budget)]
+
+    # order 4 over Z/9 with the free cycle: 9^5 picks at level 1 alone, so
+    # both searches end with the budget error, at the default and on each rung
+    stem, _, common = universal_docs(work, 4, 9, True)
+    for command in ("oracle", "chain-complex"):
+        out[f"{command} {stem}"] = [command, *common]
+        for budget in LARGE_LADDER:
             out[f"{command} --budget {budget} {stem}"] = [command, *common, "--budget", str(budget)]
 
     # the order-1 bracket on an algebra whose window cuts the bracket's products

@@ -405,6 +405,20 @@ def test_walk_solves_each_state_once(walk, monkeypatch):
     assert calls["solve"] == calls["enumerate"]
 
 
+# (every pick walked, states, distinct stage keys, members) of the tower-walk
+# shape at seeds 1 and 431: the walk with the collapse turned off, which is
+# the walk before inert directions were detected, and the collapsed walk,
+# which follows one pick per class of inert picks (kq.toda._Walk.inert); each
+# charges its budget 3241
+TOWER_WALKS = ((True, 1365, 180, 192), (False, 9, 9, 9))
+
+
+def _walk_every_pick(mp, every_pick):
+    """With every_pick, turn the collapse off: no kernel direction is inert."""
+    if every_pick:
+        mp.setattr(kq.toda._Walk, "inert", lambda walk, i, k, res: None)
+
+
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
 def test_walk_factors_each_operator_once(walk, monkeypatch):
     # the shape of the tower-walk benchmark: order 3 over Z/4 with a free cycle
@@ -428,14 +442,18 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
 
     monkeypatch.setattr(kq.toda._Walk, "solve", counted_solve)
     monkeypatch.setattr(kq.track, "factor", counted_factor)
-    for _ in range(2):  # a second walk builds its operators again: nothing outlives a walk
-        seen.update(solves=0, builds=0, operators=set())
-        if walk == "oracle":
-            assert oracle_bracket_set(algebra, seq, 3)
-        else:
-            build_chain_complex(algebra, seq, 3)
-        assert seen["builds"] == len(seen["operators"]) == 9
-        assert seen["solves"] > 100 * seen["builds"]
+    for every_pick, states, _, _ in TOWER_WALKS:
+        with monkeypatch.context() as mp:
+            _walk_every_pick(mp, every_pick)
+            for _ in range(2):  # a second walk builds its operators again: nothing outlives a walk
+                seen.update(solves=0, builds=0, operators=set())
+                if walk == "oracle":
+                    assert oracle_bracket_set(algebra, seq, 3)
+                else:
+                    build_chain_complex(algebra, seq, 3)
+                assert seen["builds"] == len(seen["operators"]) == 9
+                # the full walk solves its 1365 states against 9 operators, the collapsed one each stage once
+                assert seen["solves"] == states
 
 
 def _cone_of(data, i, k):
@@ -485,13 +503,16 @@ def test_walk_solves_each_cone_once(walk, seed, monkeypatch):
 
     monkeypatch.setattr(kq.toda._Walk, "solve", counted_walk_solve)
     monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
-    for _ in range(2):  # a second walk solves every cone again: nothing outlives a walk
-        seen.update(states=0, cones=set(), solves=0)
-        budget = _run_walk(walk, algebra, seq)
-        # one solve per stage and distinct picks in its cone, however many states reach it
-        assert seen["states"] == 1365
-        assert seen["solves"] == len(seen["cones"]) == 180
-        assert budget.spent == 3241  # the same states, charged as when every state solved its stage
+    for every_pick, states, cones, _ in TOWER_WALKS:
+        with monkeypatch.context() as mp:
+            _walk_every_pick(mp, every_pick)
+            for _ in range(2):  # a second walk solves every cone again: nothing outlives a walk
+                seen.update(states=0, cones=set(), solves=0)
+                budget = _run_walk(walk, algebra, seq)
+                # one solve per stage and distinct picks in its cone, however many states reach it
+                assert seen["states"] == states
+                assert seen["solves"] == len(seen["cones"]) == cones
+                assert budget.spent == 3241  # the same states, walked or stood for, as when every state solved its stage
 
 
 @pytest.mark.parametrize("seed", [1, 431])
@@ -510,12 +531,15 @@ def test_walk_builds_each_member_once(walk, seed, monkeypatch):
     for name in ("instantiate", "choice_log"):
         monkeypatch.setattr(SolveResult, name, counted(name, getattr(SolveResult, name)))
     monkeypatch.setattr(kq.toda._Walk, "cone", counted("cone", kq.toda._Walk.cone))
-    for _ in range(2):  # a second walk builds its members again: nothing outlives a walk
-        seen.update(instantiate=0, choice_log=0, cone=0)
-        _run_walk(walk, algebra, seq)
-        # one choice-log entry list per member, not one per state that picks it
-        assert seen["choice_log"] == seen["instantiate"] == 192
-        assert seen["cone"] == 1365  # one stage key per state
+    for every_pick, states, _, members in TOWER_WALKS:
+        with monkeypatch.context() as mp:
+            _walk_every_pick(mp, every_pick)
+            for _ in range(2):  # a second walk builds its members again: nothing outlives a walk
+                seen.update(instantiate=0, choice_log=0, cone=0)
+                _run_walk(walk, algebra, seq)
+                # one choice-log entry list per member, not one per state that picks it
+                assert seen["choice_log"] == seen["instantiate"] == members
+                assert seen["cone"] == states  # one stage key per state
 
 
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
@@ -542,10 +566,14 @@ def test_walk_works_out_kernel_orders_once_per_block(walk, monkeypatch):
     monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
     monkeypatch.setattr(kq.toda, "enumerate_block_choices", counted_enumerate)
     monkeypatch.setattr(AffineSolutionSet, "orders", counted)
-    _run_walk(walk, algebra, seq)
-    # the states enumerate the blocks of their solved stages many times over
-    assert seen["enumerations"] > 5 * seen["blocks"]
-    assert seen["orders"] == seen["blocks"]
+    for every_pick, states, cones, _ in TOWER_WALKS:
+        with monkeypatch.context() as mp:
+            _walk_every_pick(mp, every_pick)
+            seen.update(blocks=0, orders=0, enumerations=0)
+            _run_walk(walk, algebra, seq)
+            # each state enumerates the one block of its stage; the full walk reaches each block from many states
+            assert seen["enumerations"] == states
+            assert seen["orders"] == seen["blocks"] == cones
 
 
 def test_standard_balls_are_shared_and_stay_pristine():
