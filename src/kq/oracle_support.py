@@ -32,15 +32,15 @@ def solution_count(solutions):
     return math.prod(solutions.orders)
 
 
-def enumerate_block_choices(result, budget=None):
-    """All choice dictionaries for a SolveResult, exactly one per member.
+def enumerate_block_choices(blocks, budget=None):
+    """All choice dictionaries for the solved blocks of one solve, exactly one per member.
 
     The budget is charged for every member before the first is built; the
     members are then produced one at a time from a single product over the
     ranges of every block, each tuple split back into its blocks.
     """
     budget = budget or EnumerationBudget()
-    blocks = [(b.generator, b.solutions.orders) for b in result.blocks]
+    blocks = [(b.generator, b.solutions.orders) for b in blocks]
     budget.charge(math.prod(r for _, ranges in blocks for r in ranges))
     for coeffs in itertools.product(*[range(r) for _, ranges in blocks for r in ranges]):
         choice, start = {}, 0

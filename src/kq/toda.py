@@ -5,12 +5,12 @@ nullhomotopy data a(i,k) over the k-cube is built level by level as a
 defining system (Kraines 1966, May 1969).  Its only unknown is the value on
 the top cell, solved from d a(i,k) = sum_{r<k} (-1)^(r+1) a(i,r) a(i+r+1,k-1-r)
 with products of top cells and a(i,0) the i-th map; the sign is that of the
-facet with a 0 in slot r+1.  Each stage is one call of the track solver,
-solve_for_values, on the one-cell ball *^k with the corner sum as its
-right-hand side.  Its operator depends only on the target module, the
-source degree and the level, so a walk keeps one reduced operator per
-(dst, deg, k) and solves every corner sum against it.  The entry a(i,k)
-depends only on the picks made in its cone
+facet with a 0 in slot r+1.  An entry is one vector per source generator on
+its top cell *^k, which has no faces, so a stage's operator (track._operator)
+is d on dst (x) Q from level k to k-1: a walk reduces it once per
+(dst, deg, k) and solves each source generator's corner sum against it.
+TrackMorphisms appear only where the API takes or returns them.  The entry
+a(i,k) depends only on the picks made in its cone
 {(i',k') : k' >= 1, i <= i', i'+k' <= i+k}, so a state of the walk is the
 tuple of member keys of the stages solved so far, each naming an entry
 built from the picks in its cone.  A walk solves each stage, builds each
@@ -24,10 +24,9 @@ the chain-complex search stops at the first coherent leaf.
 """
 
 from .chain_algebra import NatSystem, vec_add, vec_scale
-from .cubical import Ball, ChainBasis
 from .errors import UserInputError
 from .oracle_support import EnumerationBudget, enumerate_block_choices
-from .track import apply_q_linear, class_matrix, pt_morphism, solve_for_values
+from .track import _operator, apply_q_linear, class_matrix, solve_block, top_cell_morphism
 from .value import Value
 
 DEFINED = "defined"
@@ -76,32 +75,33 @@ class HigherChainComplex:
     def __init__(self, seq, order, data, choice_log=None):
         self.seq = seq  # a MorphismSequence
         self.order = order
-        self.data = data  # (index i, level k) -> TrackMorphism over the top cell *^k of the k-cube
+        self.data = data  # (index i, level k) -> TrackMorphism over the one-cell ball *^k, from the walk's vectors
         self.choice_log = [] if choice_log is None else choice_log
 
 
 class _Walk:
     """One depth-first walk: the given entries, the stages still to solve in build order, and the memos.
 
-    The given entries are the maps a(i,0) and any prescribed data, each with
-    the key None as it is the same throughout the walk.  A state is the
-    tuple keys of member keys of the stages solved so far: keys[t] names the
-    entry at stages[t], an int handed out in members, and equal keys mean
-    equal picks in its cone.
+    An entry is (its images on its top cell, whether a window cut occurred
+    while it was built).  The given entries are the maps a(i,0) and any
+    prescribed data, each with the key None as it is the same throughout the
+    walk.  A state is the tuple keys of member keys of the stages solved so
+    far: keys[t] names the entry at stages[t], an int handed out in members,
+    and equal keys mean equal picks in its cone.
     """
 
-    def __init__(self, seq, n, prescribed=None):
-        self.modules, self.n = seq.modules, n
-        self.given = {(i, 0): f for i, f in enumerate(seq.maps, 1)}
-        self.given.update(prescribed or {})
+    def __init__(self, Q, seq, n, prescribed=None):
+        self.Q, self.modules, self.n = Q, seq.modules, n
+        given = {**{(i, 0): f for i, f in enumerate(seq.maps, 1)}, **(prescribed or {})}
+        self.given = {(i, k): (f.images("*" * k), f.tainted) for (i, k), f in given.items()}
         self.stages = [
             (i, k) for k in range(1, n + 1) for i in range(1, seq.length - k + 1) if (i, k) not in self.given
         ]
         self.position = {stage: t for t, stage in enumerate(self.stages)}
-        self.operators = {}  # (dst, source degree, cells) -> operator half of a solve
-        self.solves = {}  # stage key -> (SolveResult, certificate)
+        self.operators = {}  # (dst, source degree, level) -> operator, as track._operator builds it
+        self.solves = {}  # stage key -> (blocks, taint, None) or (None, None, certificate)
         self.members = {}  # (stage key, pick) -> member key
-        self.built = []  # member key -> (TrackMorphism, its choice-log entries)
+        self.built = []  # member key -> ((one vector per source generator on *^k, taint), its choice-log entries)
         self.products = {}  # (i, r, k, left key, right key) -> (vectors, taint)
         self.inert_masks = {}  # stage -> its inert kernel directions, per block
 
@@ -115,37 +115,33 @@ class _Walk:
         key = self.key(keys, i, k)
         return self.given[(i, k)] if key is None else self.built[key][0]
 
-    def data(self, keys):
-        return {**self.given, **{stage: self.built[key][0] for stage, key in zip(self.stages, keys)}}
-
     def log(self, keys):
         return [entry for key in keys for entry in self.built[key][1]]
 
     def tainted(self, keys):
-        return any(m.tainted for m in self.data(keys).values())
+        return any(tainted for _, tainted in [*self.given.values(), *(self.built[key][0] for key in keys)])
 
     def product(self, keys, i, r, k):
         """a(i,r) times a(i+r+1,k-1-r) per source generator, and whether a factor or the window tainted it."""
         key = (i, r, k, self.key(keys, i, r), self.key(keys, i + r + 1, k - 1 - r))
         if key not in self.products:
-            left, right = self.entry(keys, i, r), self.entry(keys, i + r + 1, k - 1 - r)
-            top = "*" * (k - 1 - r)
-            terms = [apply_q_linear(left, "*" * r, right.value(top, gen)) for gen in range(right.src.size)]
-            tainted = left.tainted or right.tainted or any(cut for _, cut in terms)
+            (left, left_cut), (right, right_cut) = self.entry(keys, i, r), self.entry(keys, i + r + 1, k - 1 - r)
+            terms = [apply_q_linear(self.Q, left, vec) for vec in right]
+            tainted = left_cut or right_cut or any(cut for _, cut in terms)
             self.products[key] = [term for term, _ in terms], tainted
         return self.products[key]
 
     def corner_sum(self, keys, i, k):
         """src, dst, the right side of d a(i,k) per source generator, and any taint."""
-        first, src = self.given[(i, 0)], self.entry(keys, i + 1, k - 1).src
+        src, m = self.modules[i + k], self.Q.m
         products = [self.product(keys, i, r, k) for r in range(k)]
         sums = []
         for gen in range(src.size):
             acc = {}
             for r, (terms, _) in enumerate(products):
-                acc = vec_add(acc, terms[gen], first.Q.m, scale=-1 if r % 2 == 0 else 1)
+                acc = vec_add(acc, terms[gen], m, scale=-1 if r % 2 == 0 else 1)
             sums.append(acc)
-        return src, first.dst, sums, any(tainted for _, tainted in products)
+        return src, self.modules[i - 1], sums, any(tainted for _, tainted in products)
 
     def obstruction(self, keys, i, n, nat):
         """The class of (-1)^(n+1) times the level-(n+1) corner sum, and its taint."""
@@ -162,19 +158,24 @@ class _Walk:
         return i, k, self.key(keys, i, k - 1), self.key(keys, i + 1, k - 1)
 
     def solve(self, keys, cone):
-        """a(i,k) on the one-cell ball *^k, solved from d a(i,k) = the corner sum, once per stage key."""
+        """a(i,k)'s blocks and taint, or a certificate, from d a(i,k) = the corner sum, once per stage key."""
         if cone not in self.solves:
             i, k = cone[:2]
             src, dst, sums, tainted = self.corner_sum(keys, i, k)
-            top = "*" * k
-            ball = Ball(ChainBasis({top: k}, {}), top)
-            rhs = {(top, gen): acc for gen, acc in enumerate(sums)}
-            self.solves[cone] = solve_for_values(
-                ball, self.given[(i, 0)].Q, src, dst, {}, [top], rhs=rhs, tainted=tainted, operators=self.operators
-            )
+            top, blocks, cert = "*" * k, [], None
+            for gen, acc in enumerate(sums):
+                op = (dst, src.degree(gen), k)
+                if op not in self.operators:
+                    self.operators[op] = _operator({top: k}, {}, self.Q, dst, op[1])
+                const = {(top, x): v for x, v in acc.items()}
+                block, cert = solve_block(self.operators[op], src, gen, const, self.Q.m)
+                if block is None:
+                    break
+                blocks.append(block)
+            self.solves[cone] = (None, None, cert) if cert is not None else (blocks, tainted, None)
         return self.solves[cone]
 
-    def inert(self, i, k, res):
+    def inert(self, i, k, blocks):
         """Per block of the solved stage (i, k), which kernel directions are inert; None if none is.
 
         A direction v is inert when no name in its support takes part in a
@@ -206,10 +207,10 @@ class _Walk:
         still vanish on the walk's entries.
         """
         if (i, k) not in self.inert_masks:
-            Q, mods = res.morphism.Q, self.modules
+            Q, mods = self.Q, self.modules
             src, dst = mods[i + k], mods[i - 1]
             multiplied = {x for pair in Q.mul for x in pair}
-            unit_free = all(x != Q.unit for f in self.given.values() for vec in f.values.values() for _, x in vec)
+            unit_free = all(x != Q.unit for images, _ in self.given.values() for vec in images for _, x in vec)
             last = min(i + self.n + 1, len(mods) - 1)
             far = [d for t in range(i + k + 1, last + 1) for _, d in mods[t].generators]  # outer sources
             near = [d for t in range(max(i + k - self.n - 2, 0), i - 1) for _, d in mods[t].generators]  # outer targets
@@ -226,22 +227,24 @@ class _Walk:
                     and all(x not in multiplied and not cut(b.generator, j) for (_, (j, x)), c in zip(b.slots, row) if c)
                     for row in b.solutions.kernel_basis
                 )
-                for b in res.blocks
+                for b in blocks
             )
             self.inert_masks[(i, k)] = masks if any(any(mask) for mask in masks) else None
         return self.inert_masks[(i, k)]
 
-    def member(self, cone, pick, res, choice):
-        """The member key of res.instantiate(choice), built with its choice-log entries once per stage key and pick.
+    def member(self, cone, pick, choice):
+        """The key of the member choice picks at cone, built with its choice-log entries once per stage key and pick.
 
-        res is the solve of cone, and pick names choice among the options
-        tried there: within one walk those are the same for equal stage keys.
+        pick names choice among the options tried at cone: within one walk
+        those are the same for equal stage keys.
         """
         if (cone, pick) not in self.members:
             i, k = cone[:2]
-            member = res.instantiate(choice)
+            blocks, tainted, _ = self.solves[cone]
+            chosen = [b.choose(choice) for b in blocks]
+            images = tuple({x: v for (_, x), v in member.items()} for _, member in chosen)
             self.members[(cone, pick)] = len(self.built)
-            self.built.append((member.morphism, member.choice_log(f"level {k} index {i}")))
+            self.built.append(((images, tainted), [b.log(f"level {k} index {i}") for b, _ in chosen]))
         return self.members[(cone, pick)]
 
 
@@ -249,7 +252,7 @@ def _walk(walk, options, budget=None, keys=()):
     """Every leaf of the choice tree below the state keys, depth first, one subtree per class of inert picks.
 
     Each state works out its stage key once and lists the choices in that
-    stage's solution set with options(stage, result).  Yields (keys, None)
+    stage's solution set with options(stage, blocks).  Yields (keys, None)
     for a completed state and (keys, failure) for a stage without solution.
     budget, if given, is charged once per state, walked or stood for.
 
@@ -270,27 +273,27 @@ def _walk(walk, options, budget=None, keys=()):
         return
     i, k = walk.stages[len(keys)]
     cone = walk.cone(keys, i, k)
-    res, cert = walk.solve(keys, cone)
-    if res is None:
+    blocks, _, cert = walk.solve(keys, cone)
+    if cert is not None:
         yield keys, {"step": k, "index": i, "certificate": cert}
         return
-    inert = budget is not None and walk.inert(i, k, res)
+    inert = budget is not None and walk.inert(i, k, blocks)
     charges = {}  # representative -> the charge of its subtree
-    for pick, choice in enumerate(options((i, k), res)):
+    for pick, choice in enumerate(options((i, k), blocks)):
         if inert:
             rep = tuple(tuple(0 if flag else c for c, flag in zip(cs, mask)) for cs, mask in zip(choice.values(), inert))
             if rep in charges and budget.spent + charges[rep] <= budget.max_points:
                 budget.charge(charges[rep])
                 continue
             spent = budget.spent
-        yield from _walk(walk, options, budget, keys + (walk.member(cone, pick, res, choice),))
+        yield from _walk(walk, options, budget, keys + (walk.member(cone, pick, choice),))
         if inert:
             charges.setdefault(rep, budget.spent - spent)
 
 
 def _every_choice(budget):
     """The option function that enumerates every member of each stage within budget."""
-    return lambda stage, res: enumerate_block_choices(res, budget)
+    return lambda stage, blocks: enumerate_block_choices(blocks, budget)
 
 
 def nat_system(Q, n, nat=None):
@@ -305,7 +308,7 @@ def nat_system(Q, n, nat=None):
 def _bracket(walk, n, nat, choices=None):
     """The deterministic walk: the pinned choice or the particular solution per stage."""
     pinned = choices or {}
-    keys, fail = next(_walk(walk, lambda stage, res: [pinned.get(stage)]))
+    keys, fail = next(_walk(walk, lambda stage, blocks: [pinned.get(stage)]))
     if fail is not None:
         return BracketResult(NOT_CONSTRUCTIBLE, choice_log=walk.log(keys), **fail)
     rep, tainted = walk.obstruction(keys, 1, n, nat)
@@ -318,7 +321,7 @@ def toda_bracket(Q, seq, n, choices=None, nat=None):
     nat = nat_system(Q, n, nat)
     if seq.length != n + 2:
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
-    return _bracket(_Walk(seq, n), n, nat, choices)
+    return _bracket(_Walk(Q, seq, n), n, nat, choices)
 
 
 def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
@@ -328,7 +331,7 @@ def oracle_bracket_set(Q, seq, n, budget=None, nat=None):
         raise UserInputError(f"order-{n} brackets need {n + 2} maps, got {seq.length}")
     budget = budget if budget is not None else EnumerationBudget()
     found = {}
-    walk = _Walk(seq, n)
+    walk = _Walk(Q, seq, n)
     for keys, fail in _walk(walk, _every_choice(budget), budget):
         if fail is not None:
             continue
@@ -353,30 +356,25 @@ def triple_indeterminacy(Q, seq, nat=None):
         raise UserInputError("triple indeterminacy is defined for 1-truncated algebras")
     nat = nat_system(Q, 1, nat)
     X0, X1, X2, X3 = seq.modules
-    first, _, last = seq.maps
-    pt = first.ball
-    cell = pt.basis.cells()[0]
+    first, _, last = (f.images(f.ball.basis.cells()[0]) for f in seq.maps)
     sides = (
-        (X2, X0, lambda e, t: apply_q_linear(e, cell, last.value(cell, t))),
-        (X3, X1, lambda e, t: apply_q_linear(first, cell, e.value(cell, t))),
+        (X2, X0, lambda e, t: apply_q_linear(Q, e, last[t])),
+        (X3, X1, lambda e, t: apply_q_linear(Q, first, e[t])),
     )
-    gens = []
+    gens = {}
     for src, dst, product in sides:
         for j, i, r in nat.slots(src, dst):
             pres = nat.hom.presentation(r)
             for t in range(pres.rank):
                 h = nat.hom.class_from_coords(r, tuple(int(s == t) for s in range(pres.rank)))
-                e = pt_morphism(pt, Q, src, dst, {(j, i): dict(h.rep)})
+                e = [{(j, q): c % Q.m for q, c in h.rep if c % Q.m} if g == i else {} for g in range(src.size)]
                 products = [product(e, g) for g in range(X3.size)]
                 if any(cut for _, cut in products):
                     return None
                 img = class_matrix(nat, X3, X0, [acc for acc, _ in products])
                 if not img.is_zero():
-                    gens.append(img)
-    seen = {}
-    for g in gens:
-        seen.setdefault(g.coords_key(), g)
-    return [seen[k] for k in sorted(seen)]
+                    gens.setdefault(img.coords_key(), img)
+    return [gens[k] for k in sorted(gens)]
 
 
 def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
@@ -389,7 +387,7 @@ def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
     nat = nat_system(Q, n, nat)
     budget = search_budget if search_budget is not None else EnumerationBudget(2**14)
     windows = list(range(1, seq.length - n))  # F_i^n needs maps i .. i+n+1
-    walk = _Walk(seq, n)
+    walk = _Walk(Q, seq, n)
 
     def window_failure(keys):
         for i in windows:
@@ -403,7 +401,8 @@ def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
         if fail is None:
             fail = window_failure(keys)
         if fail is None:
-            data = {key: mor for key, mor in walk.data(keys).items() if key[1] >= 1}
+            X = seq.modules
+            data = {(i, k): top_cell_morphism(Q, X[i + k], X[i - 1], k, *walk.entry(keys, i, k)) for i, k in walk.stages}
             return HigherChainComplex(seq, n, data, walk.log(keys)), None
         last_failure = fail
     return None, last_failure
@@ -427,9 +426,5 @@ def adams_d(Q, complex_, beta, n, nat=None):
     modules = list(complex_.seq.modules[: n + 2]) + [beta.src]
     maps = list(complex_.seq.maps[: n + 1]) + [beta]
     aug = MorphismSequence.of(modules, maps)
-    prescribed = {
-        (i, k): complex_.data[(i, k)]
-        for (i, k) in complex_.data
-        if i + k <= n + 1 and k >= 1
-    }
-    return _bracket(_Walk(aug, n, prescribed), n, nat)
+    prescribed = {(i, k): f for (i, k), f in complex_.data.items() if i + k <= n + 1 and k >= 1}
+    return _bracket(_Walk(Q, aug, n, prescribed), n, nat)

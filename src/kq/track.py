@@ -14,9 +14,11 @@ onto a face of a larger cube along the inverse of the face inclusion, the
 constant homotopy along the projection of its cylinder, and the action of a
 homotopy on a face along the sweep of that face across the homotopy's own
 cylinder, glued onto the ball (cubical.AttachedCylinder).  Extensions,
-homotopy tests and each stage of the Toda tower (kq.toda) are all instances
-of one linear solver over Z/p^k, solve_for_values.  It returns the solution
-set, whose free parameters are reported for reproducibility and
+homotopy tests and each stage of the Toda tower (kq.toda) solve the chain
+conditions over Z/p^k with one operator builder, _operator, from unknown
+cells and a boundary map, and solve_block per source generator; the tower's
+one top cell has no faces.  solve_for_values returns the solution set on a
+ball, whose free parameters are reported for reproducibility and
 enumeration; SolveResult.instantiate builds one member from it.
 """
 
@@ -26,6 +28,7 @@ from .chain_algebra import by_generator, pair_basis, tensor_d, vec_add
 from .cubical import (
     AttachedCylinder,
     Ball,
+    ChainBasis,
     CubicalComplex,
     complex_basis,
     cylinder_ball,
@@ -47,6 +50,9 @@ class TrackMorphism:
 
     def value(self, cell, i):
         return self.values.get((cell, i), {})
+
+    def images(self, cell):
+        return tuple(self.values.get((cell, i), {}) for i in range(self.src.size))
 
     def eval_chain(self, chain, i):
         out = {}
@@ -100,14 +106,21 @@ def pt_morphism(ball, Q, src, dst, entries):
     return TrackMorphism(ball, src, dst, Q, values)
 
 
-def apply_q_linear(g, cell, vec):
-    """g(cell x -) applied Q-linearly to a vector over g's source module, and whether the window cut a product."""
+def top_cell_morphism(Q, src, dst, k, images, tainted):
+    """The morphism over the one-cell ball *^k whose top cell takes source generator i to images[i]."""
+    top = "*" * k
+    values = {(top, i): vec for i, vec in enumerate(images) if vec}
+    return TrackMorphism(Ball(ChainBasis({top: k}, {}), top), src, dst, Q, values, tainted)
+
+
+def apply_q_linear(Q, images, vec):
+    """The Q-linear map taking source generator i to images[i], applied to vec, and whether the window cut a product."""
     out, cut = {}, False
     for i, q in by_generator(vec).items():
-        for j, part in by_generator(g.value(cell, i)).items():
-            prod, flag = g.Q.elem_mul(part, q)
+        for j, part in by_generator(images[i]).items():
+            prod, flag = Q.elem_mul(part, q)
             cut = cut or flag
-            out = vec_add(out, {(j, x): v for x, v in prod.items()}, g.Q.m)
+            out = vec_add(out, {(j, x): v for x, v in prod.items()}, Q.m)
     return out, cut
 
 
@@ -128,7 +141,7 @@ def compose(g, f):
                 fv = f.values.get((back, i))
                 if fv is None:
                     continue
-                term, cut = apply_q_linear(g, front, fv)
+                term, cut = apply_q_linear(g.Q, g.images(front), fv)
                 flag = flag or cut
                 out = vec_add(out, term, g.Q.m, scale=sign)
             if out:
@@ -204,7 +217,7 @@ def tensor(g, f):
                 fv = f.values.get((c2, i))
                 if fv is None:
                     continue
-                out, cut = apply_q_linear(g, c1, fv)
+                out, cut = apply_q_linear(g.Q, g.images(c1), fv)
                 flag = flag or cut
                 if out:
                     values[(c1 + c2, i)] = out
@@ -248,6 +261,23 @@ class SolveBlock:
         self.solutions = solutions  # an AffineSolutionSet
         self.chosen = chosen
 
+    def choose(self, choices):
+        """This block with the member picked by choices, dict generator -> kernel coefficients, and that member by slot.
+
+        A generator left out takes the particular solution.
+        """
+        sol = self.solutions
+        pick = tuple((choices or {}).get(self.generator, ()))
+        if pick and len(pick) != len(sol.kernel_basis):
+            raise UserInputError("choice vector has the wrong number of parameters")
+        x = sol.member(pick) if pick else sol.particular
+        block = SolveBlock(self.generator, self.slots, sol, pick or (0,) * len(sol.kernel_basis))
+        return block, {slot: v % sol.m for slot, v in zip(self.slots, x) if v % sol.m}
+
+    def log(self, label):
+        free = len(self.solutions.kernel_basis)
+        return {"stage": label, "generator": self.generator, "free_parameters": free, "chosen": list(self.chosen)}
+
 
 class SolveResult:
     def __init__(self, morphism, blocks=None):
@@ -255,115 +285,89 @@ class SolveResult:
         self.blocks = [] if blocks is None else blocks
 
     def instantiate(self, choices=None):
-        """The member picked by choices, built from the already solved blocks.
-
-        choices: dict generator -> coefficient tuple over that block's kernel;
-        a generator left out takes the particular solution.  Values of
-        self.morphism on solved cells are replaced.
-        """
+        """The member picked by choices (SolveBlock.choose); it replaces self.morphism's values on solved cells."""
         f = self.morphism
         solved = {(c, b.generator) for b in self.blocks for c, _ in b.slots}
         values = {k: v for k, v in f.values.items() if k not in solved}
         blocks = []
         for b in self.blocks:
-            sol = b.solutions
-            pick = tuple((choices or {}).get(b.generator, ()))
-            if pick and len(pick) != len(sol.kernel_basis):
-                raise UserInputError("choice vector has the wrong number of parameters")
-            x = sol.member(pick) if pick else sol.particular
-            blocks.append(SolveBlock(b.generator, b.slots, sol, pick if pick else (0,) * len(sol.kernel_basis)))
-            for t, (c, key) in enumerate(b.slots):
-                if x[t] % f.Q.m:
-                    values.setdefault((c, b.generator), {})[key] = x[t] % f.Q.m
-        mor = TrackMorphism(f.ball, f.src, f.dst, f.Q, values, f.tainted)
-        return SolveResult(mor, blocks)
-
-    def choice_log(self, label):
-        out = []
-        for b in self.blocks:
-            out.append(
-                {
-                    "stage": label,
-                    "generator": b.generator,
-                    "free_parameters": len(b.solutions.kernel_basis),
-                    "chosen": list(b.chosen),
-                }
-            )
-        return out
+            block, member = b.choose(choices)
+            blocks.append(block)
+            for (c, key), v in member.items():
+                values.setdefault((c, b.generator), {})[key] = v
+        return SolveResult(TrackMorphism(f.ball, f.src, f.dst, f.Q, values, f.tainted), blocks)
 
 
-def _operator(basis, Q, dst, deg, unknown_cells):
-    """The operator half of one solve: its slots, its rows and the LinearFactor of its matrix.
+def _operator(cells, boundary, Q, dst, deg):
+    """The operator of one solve: its slots, its rows and the LinearFactor of its matrix.
 
-    The matrix takes the values on the unknown cells, for a source generator
-    of degree deg, to d f(c) - f(dc) on every cell they touch.
+    cells: the unknown cells in column order, each with its dimension;
+    boundary: cell -> {face: incidence}, lowering the dimension by one.  The
+    matrix takes the values on the unknown cells, for a source generator of
+    degree deg, to d f(c) - f(dc) on every cell they touch.
     """
     cofaces = defaultdict(list)
-    for x in basis.cells():
-        for c, w in basis.boundary_of(x).items():
+    for x, row in boundary.items():
+        for c, w in row.items():
             cofaces[c].append((x, w))
-    slots = [(c, key) for c in unknown_cells for key in pair_basis(dst, Q, deg, basis.dim(c))]
+    slots = [(c, key) for c, dim in cells.items() for key in pair_basis(dst, Q, deg, dim)]
+    touched = dict(cells)  # cell -> its dimension
     entries = defaultdict(dict)  # row (cell, key) -> {slot: coefficient}
     for t, (c, (j, q)) in enumerate(slots):  # d(e_key) at c, minus the incidence at each coface
         for x, v in Q.d_of(q).items():
             entries[(c, (j, x))][t] = v
         for x, w in cofaces[c]:
             entries[(x, (j, q))][t] = -w
-    touched = {*unknown_cells, *(cell for cell, _ in entries)}
-    rows = [(c, key) for c in basis.cells() if c in touched for key in pair_basis(dst, Q, deg, basis.dim(c) - 1)]
+            touched[x] = cells[c] + 1
+    order = sorted(touched, key=lambda c: (touched[c], c))  # as ChainBasis.cells orders them
+    rows = [(c, key) for c in order for key in pair_basis(dst, Q, deg, touched[c] - 1)]
     A = [[entries.get(r, {}).get(t, 0) % Q.m for t in range(len(slots))] for r in rows]
     return slots, rows, factor(A, Q.m, cols=len(slots))
 
 
-def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, rhs=None, tainted=False, operators=None):
-    """The values on unknown cells with d f(c) - f(dc) = rhs(c) on every cell.
+def solve_block(operator, src, i, const, m):
+    """Generator i's block at the right side const, dict row -> value, which it consumes; or None and why.
+
+    A value on a row outside the operator's rows has no solution.
+    """
+    slots, rows, fac = operator
+    b = [const.pop(r, 0) for r in rows]
+    sol = None if any(v % m for v in const.values()) else fac.solve(b)
+    if sol is not None:
+        return SolveBlock(i, slots, sol, ()), None
+    return None, {"generator": src.name(i), "unknowns": len(slots), "reason": "no solution to the chain conditions"}
+
+
+def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, tainted=False):
+    """The values on unknown cells with d f(c) = f(dc) on every cell.
 
     prescribed: dict (cell, generator) -> vector on the known cells.
-    rhs: dict (cell, generator) -> vector, zero where absent.
-    tainted: whether a window cut occurred in prescribed or rhs, the result's taint.
-    operators: a dict for the operator half of the solve, keyed by
-    (dst, source degree, unknown cells).  That half depends neither on
-    prescribed nor on rhs, so it is built once per degree and key; a caller
-    may pass one dict to many calls over one algebra and equal balls, and
-    without it each call starts a fresh one.  A right-hand side that is
-    nonzero on a row outside the operator's rows has no solution.
+    tainted: whether a window cut occurred in prescribed, the result's taint.
     Returns (SolveResult, None) or (None, certificate).  The SolveResult is
     the solution set: the prescribed values and one solved block per
     generator.  No member is built; SolveResult.instantiate builds one.
     """
     basis = ball.basis
-    unknown_cells = tuple(sorted(unknown_cells, key=lambda c: (basis.dim(c), c)))
-    if any(c in unknown_cells for c, _ in prescribed):
+    cells = {c: basis.dim(c) for c in sorted(unknown_cells, key=lambda c: (basis.dim(c), c))}
+    if any(c in cells for c, _ in prescribed):
         raise InternalInvariantError("prescribed value on an unknown cell")
-    rhs = rhs or {}
-    operators = {} if operators is None else operators
+    known = TrackMorphism(ball, src, dst, Q, {k: v for k, v in prescribed.items() if v}, tainted)
+    operators = {}  # source degree -> operator
     blocks = []
     for i in range(src.size):
         deg = src.degree(i)
-        if (dst, deg, unknown_cells) not in operators:
-            operators[(dst, deg, unknown_cells)] = _operator(basis, Q, dst, deg, unknown_cells)
-        slots, rows, fac = operators[(dst, deg, unknown_cells)]
-        const = {}  # row -> rhs(c) - d known(c) + known(dc)
+        if deg not in operators:
+            operators[deg] = _operator(cells, basis.bnd, Q, dst, deg)
+        const = {}  # row -> f(dc) - d f(c) on the prescribed values
         for cell in basis.cells():
-            acc = rhs.get((cell, i), {})
-            if (cell, i) in prescribed:
-                acc = vec_add(acc, tensor_d(Q, prescribed[(cell, i)]), Q.m, scale=-1)
-            for face, w in basis.boundary_of(cell).items():
-                if (face, i) in prescribed:
-                    acc = vec_add(acc, prescribed[(face, i)], Q.m, scale=w)
+            known_d = tensor_d(Q, known.value(cell, i))
+            acc = vec_add(known.eval_chain(basis.boundary_of(cell), i), known_d, Q.m, scale=-1)
             const.update(((cell, key), v) for key, v in acc.items())
-        b = [const.pop(r, 0) for r in rows]
-        sol = None if any(v % Q.m for v in const.values()) else fac.solve(b)
-        if sol is None:
-            cert = {
-                "generator": src.name(i),
-                "unknowns": len(slots),
-                "reason": "no solution to the chain conditions",
-            }
+        block, cert = solve_block(operators[deg], src, i, const, Q.m)
+        if block is None:
             return None, cert
-        blocks.append(SolveBlock(i, slots, sol, ()))
-    values = {k: v for k, v in prescribed.items() if v}
-    return SolveResult(TrackMorphism(ball, src, dst, Q, values, tainted), blocks), None
+        blocks.append(block)
+    return SolveResult(known, blocks), None
 
 
 def extend(ball, partial, zero_cells):

@@ -9,11 +9,12 @@ by construction of the filter, not by hope.
 """
 
 import itertools
+import math
 import random
 
 from kq.chain_algebra import ChainAlgebra, GradedModule, homology
 from kq.cubical import point_ball
-from kq.oracle_support import choice_space_size
+from kq.oracle_support import solution_count
 from kq.toda import MorphismSequence
 from kq.track import compose, homotopic, pt_morphism, zero_morphism
 
@@ -165,13 +166,13 @@ def budget_feasible(q, seq, cap=2**12):
     """Whether the oracle's total choice space fits under the cap."""
     from kq.toda import _Walk
 
-    walk = _Walk(seq, 1)  # the level-1 stages read only the maps
+    walk = _Walk(q, seq, 1)  # the level-1 stages read only the maps
     total = 1
     for i in (1, 2):
-        res, cert = walk.solve((), walk.cone((), i, 1))
-        if res is None:
+        blocks, _, cert = walk.solve((), walk.cone((), i, 1))
+        if cert is not None:
             return False
-        total *= choice_space_size(res)
+        total *= math.prod(solution_count(b.solutions) for b in blocks)
     return total <= cap
 
 

@@ -27,7 +27,7 @@ from track_helpers import enumerate_nat
 def _after(nat, g, f):
     """The class matrix of g after f, two maps over the point, with the tower's product."""
     cell = f.ball.basis.cells()[0]
-    sums = [apply_q_linear(g, cell, f.value(cell, i))[0] for i in range(f.src.size)]
+    sums = [apply_q_linear(g.Q, g.images(cell), f.value(cell, i))[0] for i in range(f.src.size)]
     return class_matrix(nat, f.src, g.dst, sums)
 
 

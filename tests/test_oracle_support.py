@@ -13,18 +13,18 @@ from kq.oracle_support import (
     enumerate_block_choices,
     solution_count,
 )
-from kq.track import SolveBlock, SolveResult, extend, obstruction
+from kq.track import SolveBlock, extend, obstruction
 
 from conftest import make_massey_algebra
 from track_helpers import random_morphism
 
 
 def one_block(s):
-    return SolveResult(None, [SolveBlock(0, [], s, ())])
+    return [SolveBlock(0, [], s, ())]
 
 
 def members(s, budget=None):
-    """The members of s, one per choice enumerate_block_choices makes on a one-block result."""
+    """The members of s, one per choice enumerate_block_choices makes on one block."""
     return [s.member(choice[0]) for choice in enumerate_block_choices(one_block(s), budget)]
 
 

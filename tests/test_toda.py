@@ -1,9 +1,12 @@
+import collections
 import functools
 import random
 
 import pytest
 
+import kq.cubical
 import kq.toda
+import kq.track
 from kq.chain_algebra import ChainAlgebra, GradedModule, NatSystem, homology
 from kq.cubical import Ball, ChainBasis, corner_ball, cube_ball, point_ball
 from kq.documents import parse_algebra, parse_sequence
@@ -21,7 +24,7 @@ from kq.toda import (
     DEFINED,
     NOT_CONSTRUCTIBLE,
 )
-from kq.track import SolveResult, pt_morphism, zero_morphism
+from kq.track import SolveBlock, pt_morphism, zero_morphism
 
 from conftest import make_massey_algebra
 from randalg import bracket_instances, budget_feasible, random_valid_algebra
@@ -425,8 +428,8 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
     rng = random.Random(1)
     algebra, _ = parse_algebra(universal.algebra_doc(3, 4, rng, free_cycle=True))
     seq = parse_sequence(universal.sequence_doc(3, universal.draw_units(3, 4, rng)), algebra)
-    solve, factor = kq.toda._Walk.solve, kq.track.factor
-    seen = {"solves": 0, "builds": 0, "operators": set()}
+    solve, operator, factor = kq.toda._Walk.solve, kq.toda._operator, kq.track.factor
+    seen = {"solves": 0, "builds": 0, "factors": 0, "operators": set()}
 
     def counted_solve(walk, keys, cone):
         # stage (i, k) maps X_(i+k) to X_(i-1): one operator per source degree
@@ -436,33 +439,39 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
         seen["solves"] += 1
         return solve(walk, keys, cone)
 
-    def counted_factor(*args, **kwargs):
+    def counted_operator(*args, **kwargs):
         seen["builds"] += 1
+        return operator(*args, **kwargs)
+
+    def counted_factor(*args, **kwargs):
+        seen["factors"] += 1
         return factor(*args, **kwargs)
 
     monkeypatch.setattr(kq.toda._Walk, "solve", counted_solve)
+    monkeypatch.setattr(kq.toda, "_operator", counted_operator)
     monkeypatch.setattr(kq.track, "factor", counted_factor)
     for every_pick, states, _, _ in TOWER_WALKS:
         with monkeypatch.context() as mp:
             _walk_every_pick(mp, every_pick)
             for _ in range(2):  # a second walk builds its operators again: nothing outlives a walk
-                seen.update(solves=0, builds=0, operators=set())
+                seen.update(solves=0, builds=0, factors=0, operators=set())
                 if walk == "oracle":
                     assert oracle_bracket_set(algebra, seq, 3)
                 else:
                     build_chain_complex(algebra, seq, 3)
-                assert seen["builds"] == len(seen["operators"]) == 9
+                # each operator is built and reduced once
+                assert seen["builds"] == seen["factors"] == len(seen["operators"]) == 9
                 # the full walk solves its 1365 states against 9 operators, the collapsed one each stage once
                 assert seen["solves"] == states
 
 
-def _cone_of(data, i, k):
-    """The solved entries of data that stage (i, k) depends on, with their values."""
+def _cone_of(entries, i, k):
+    """The solved entries that stage (i, k) depends on, with their images."""
     return tuple(
         sorted(
-            (key, tuple(sorted((c, tuple(sorted(v.items()))) for c, v in mor.values.items())))
-            for key, mor in data.items()
-            if key[1] >= 1 and i <= key[0] and key[0] + key[1] <= i + k
+            (key, tuple(tuple(sorted(vec.items())) for vec in images))
+            for key, (images, _) in entries.items()
+            if i <= key[0] and key[0] + key[1] <= i + k
         )
     )
 
@@ -488,21 +497,22 @@ def _run_walk(walk, algebra, seq):
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
 def test_walk_solves_each_cone_once(walk, seed, monkeypatch):
     algebra, seq = _tower_walk_shape(seed)
-    walk_solve, solve = kq.toda._Walk.solve, kq.toda.solve_for_values
+    walk_solve, solve_block = kq.toda._Walk.solve, kq.toda.solve_block
     seen = {"states": 0, "cones": set(), "solves": 0}
 
     def counted_walk_solve(walk, keys, cone):
         i, k = cone[:2]
         seen["states"] += 1
-        seen["cones"].add((i, k, _cone_of(walk.data(keys), i, k)))
+        entries = {stage: walk.entry(keys, *stage) for stage in walk.stages[: len(keys)]}
+        seen["cones"].add((i, k, _cone_of(entries, i, k)))
         return walk_solve(walk, keys, cone)
 
-    def counted_solve(*args, **kwargs):
-        seen["solves"] += 1
-        return solve(*args, **kwargs)
+    def counted_solve_block(operator, src, gen, const, m):
+        seen["solves"] += gen == 0  # a stage solve solves the block of each source generator in turn
+        return solve_block(operator, src, gen, const, m)
 
     monkeypatch.setattr(kq.toda._Walk, "solve", counted_walk_solve)
-    monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
+    monkeypatch.setattr(kq.toda, "solve_block", counted_solve_block)
     for every_pick, states, cones, _ in TOWER_WALKS:
         with monkeypatch.context() as mp:
             _walk_every_pick(mp, every_pick)
@@ -519,7 +529,7 @@ def test_walk_solves_each_cone_once(walk, seed, monkeypatch):
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
 def test_walk_builds_each_member_once(walk, seed, monkeypatch):
     algebra, seq = _tower_walk_shape(seed)
-    seen = {"instantiate": 0, "choice_log": 0, "cone": 0}
+    seen = {"choose": 0, "log": 0, "cone": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -528,42 +538,43 @@ def test_walk_builds_each_member_once(walk, seed, monkeypatch):
 
         return wrapper
 
-    for name in ("instantiate", "choice_log"):
-        monkeypatch.setattr(SolveResult, name, counted(name, getattr(SolveResult, name)))
+    for name in ("choose", "log"):
+        monkeypatch.setattr(SolveBlock, name, counted(name, getattr(SolveBlock, name)))
     monkeypatch.setattr(kq.toda._Walk, "cone", counted("cone", kq.toda._Walk.cone))
     for every_pick, states, _, members in TOWER_WALKS:
         with monkeypatch.context() as mp:
             _walk_every_pick(mp, every_pick)
             for _ in range(2):  # a second walk builds its members again: nothing outlives a walk
-                seen.update(instantiate=0, choice_log=0, cone=0)
+                seen.update(choose=0, log=0, cone=0)
                 _run_walk(walk, algebra, seq)
-                # one choice-log entry list per member, not one per state that picks it
-                assert seen["choice_log"] == seen["instantiate"] == members
+                # each stage here has one source generator, so one block: one vector and
+                # one choice-log entry per member, not one per state that picks it
+                assert seen["log"] == seen["choose"] == members
                 assert seen["cone"] == states  # one stage key per state
 
 
 @pytest.mark.parametrize("walk", ["oracle", "chain-complex"])
 def test_walk_works_out_kernel_orders_once_per_block(walk, monkeypatch):
     algebra, seq = _tower_walk_shape(1)
-    solve, orders = kq.toda.solve_for_values, AffineSolutionSet.orders
+    solve_block, orders = kq.toda.solve_block, AffineSolutionSet.orders
     seen = {"blocks": 0, "orders": 0, "enumerations": 0}
 
-    def counted_solve(*args, **kwargs):
-        res, cert = solve(*args, **kwargs)
-        seen["blocks"] += len(res.blocks) if res is not None else 0
-        return res, cert
+    def counted_solve_block(*args, **kwargs):
+        block, cert = solve_block(*args, **kwargs)
+        seen["blocks"] += block is not None
+        return block, cert
 
     def counted_orders(solutions):
         seen["orders"] += 1
         return orders.func(solutions)
 
-    def counted_enumerate(result, budget=None):
-        seen["enumerations"] += len(result.blocks)
-        return enumerate_block_choices(result, budget)
+    def counted_enumerate(blocks, budget=None):
+        seen["enumerations"] += len(blocks)
+        return enumerate_block_choices(blocks, budget)
 
     counted = functools.cached_property(counted_orders)
     counted.__set_name__(AffineSolutionSet, "orders")
-    monkeypatch.setattr(kq.toda, "solve_for_values", counted_solve)
+    monkeypatch.setattr(kq.toda, "solve_block", counted_solve_block)
     monkeypatch.setattr(kq.toda, "enumerate_block_choices", counted_enumerate)
     monkeypatch.setattr(AffineSolutionSet, "orders", counted)
     for every_pick, states, cones, _ in TOWER_WALKS:
@@ -601,6 +612,30 @@ def test_tower_stages_build_no_cube_balls():
     cube_ball.cache_clear()
     assert toda_bracket(algebra, seq, 4).status == DEFINED
     assert cube_ball.cache_info().misses == 0
+
+
+def test_tower_members_are_vectors(monkeypatch):
+    # a stage solves on its top cell's operator and keeps each member as vectors,
+    # with no ball, basis or morphism per stage key or member
+    algebra, seq = _tower_walk_shape(1)
+    built = collections.Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls in (kq.cubical.ChainBasis, kq.cubical.Ball, kq.track.TrackMorphism):
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    assert toda_bracket(algebra, seq, 3).status == DEFINED
+    assert oracle_bracket_set(algebra, seq, 3, EnumerationBudget(2**14))
+    assert built == {}
+    for name in ("solve_for_values", "Ball", "ChainBasis"):
+        assert not hasattr(kq.toda, name)
 
 
 def test_replay_pinned_choice():

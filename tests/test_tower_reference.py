@@ -85,7 +85,7 @@ class _Tower:
 
     def with_level(self, i, k, res):
         data = {**self.data, (i, k): res.morphism}
-        return _Tower(data, self.log + res.choice_log(f"level {k} index {i}"))
+        return _Tower(data, self.log + [b.log(f"level {k} index {i}") for b in res.blocks])
 
     def tainted(self):
         return any(m.tainted for m in self.data.values())
@@ -144,7 +144,7 @@ def cubical_oracle_bracket_set(Q, seq, n, budget):
     found = {}
 
     def every_choice(stage, res):
-        return enumerate_block_choices(res, budget)
+        return enumerate_block_choices(res.blocks, budget)
 
     tower = _Tower.start(seq)
     for leaf, fail in _walk(tower, _stages(tower, seq.length, n), every_choice, budget):
@@ -163,7 +163,7 @@ def cubical_build_chain_complex(Q, seq, n, budget):
     windows = list(range(1, seq.length - n))
 
     def options(stage, res):
-        return enumerate_block_choices(res, budget)
+        return enumerate_block_choices(res.blocks, budget)
 
     def window_failure(tower):
         for i in windows:

@@ -559,9 +559,9 @@ def test_instantiate_matches_solving_with_choices():
         res, cert = solve_for_values(*args)
         assert res is not None
         assert choice_space_size(res) > 1
-        for choices in enumerate_block_choices(res):
+        for choices in enumerate_block_choices(res.blocks):
             replay = res.instantiate(choices)
-            assert [e["chosen"] for e in replay.choice_log("s")] == [list(choices[b.generator]) for b in res.blocks]
+            assert [b.log("s")["chosen"] for b in replay.blocks] == [list(choices[b.generator]) for b in res.blocks]
             assert replay.morphism.check() == []
             # instantiating a member again replaces its solved values
             assert res.instantiate().instantiate(choices).morphism.values == replay.morphism.values

@@ -58,7 +58,7 @@ def self_homotopy_space(f):
 
 def enumerate_self_homotopies(f, budget=None):
     res, _, cyl = self_homotopy_space(f)
-    for choices in enumerate_block_choices(res, budget):
+    for choices in enumerate_block_choices(res.blocks, budget):
         yield track.HomotopyWitness(res.instantiate(choices).morphism, cyl)
 
 
