@@ -7,6 +7,12 @@ timestamps, and the engine version and input hashes are embedded.  Exit code
 0 means success, 1 a user error (diagnostics in the JSON on stdout and a
 human message on stderr), 2 an internal error (an error document on stdout
 and the traceback on stderr).
+
+validate, truncate and homology run here and load only the algebra half of
+the engine (errors, value, exact_linalg, chain_algebra, documents).  The
+commands that take a sequence leave run() through one import of
+kq.tower_cli, which brings in toda, track, cubical and oracle_support, so
+a process pays to load the tower only when it walks one.
 """
 
 import argparse
@@ -18,26 +24,8 @@ import sys
 
 from . import __version__
 from .chain_algebra import homology, truncate
-from .documents import (
-    algebra_to_dict,
-    nat_to_dict,
-    parse_algebra,
-    parse_sequence,
-    presentation_to_dict,
-)
+from .documents import algebra_to_dict, parse_algebra, presentation_to_dict
 from .errors import BudgetExceededError, UserInputError
-from .oracle_support import DEFAULT_BUDGET, EnumerationBudget
-from .toda import (
-    DEFINED,
-    WINDOW_UNSOUND,
-    MorphismSequence,
-    adams_d,
-    build_chain_complex,
-    nat_system,
-    oracle_bracket_set,
-    toda_bracket,
-    triple_indeterminacy,
-)
 
 
 def _load_json(path, what):
@@ -88,38 +76,6 @@ def _load_algebra(args, result, require_valid=True):
     return algebra, violations
 
 
-def _load_sequence(args, result, algebra):
-    if not args.sequence:
-        raise UserInputError("this command needs --sequence")
-    doc, result["inputs"]["sequence_sha256"] = _load_json(args.sequence, "sequence")
-    return parse_sequence(doc, algebra)
-
-
-def _bracket_payload(res):
-    out = {"status": res.status, "choice_log": res.choice_log}
-    if res.representative is not None:
-        out["representative"] = nat_to_dict(res.representative)
-    if res.step is not None:
-        out["failed_step"] = res.step
-        out["failed_index"] = res.index
-        out["certificate"] = res.certificate
-    return out
-
-
-def _budget(args):
-    budget = args.budget
-    env = os.environ.get("ENGINE_BUDGET")
-    if budget is None and env:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise UserInputError(f"ENGINE_BUDGET is not an integer: {env!r}")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if budget < 1:
-        raise UserInputError(f"the enumeration budget must be at least 1, got {budget}")
-    return EnumerationBudget(budget)
-
-
 def run(args):
     result = {"command": args.command, "engine_version": __version__, "inputs": {}}
 
@@ -146,58 +102,12 @@ def run(args):
         return result
 
     algebra, _ = _load_algebra(args, result)
-    seq = _load_sequence(args, result, algebra)
-    n = args.n if args.n is not None else algebra.n
-    nat = nat_system(algebra, n)
+    if not args.sequence:
+        raise UserInputError("this command needs --sequence")
+    doc, result["inputs"]["sequence_sha256"] = _load_json(args.sequence, "sequence")
+    from .tower_cli import run_tower  # the tower's one import: the commands above need none of it
 
-    if args.command in ("massey", "toda"):
-        res = toda_bracket(algebra, seq, n, nat=nat)
-        result.update(_bracket_payload(res))
-        if n == 1:
-            gens = triple_indeterminacy(algebra, seq, nat=nat)
-            if gens is not None:
-                result["indeterminacy_generators"] = [nat_to_dict(g) for g in gens]
-            elif res.status == DEFINED:  # the window cut off a product of the indeterminacy
-                result["status"] = WINDOW_UNSOUND
-        return result
-
-    if args.command == "oracle":
-        reps = oracle_bracket_set(algebra, seq, n, budget=_budget(args), nat=nat)
-        result["bracket_set"] = [nat_to_dict(r) for r in reps]
-        result["set_size"] = len(reps)
-        return result
-
-    if args.command == "chain-complex":
-        hcc, fail = build_chain_complex(algebra, seq, n, search_budget=_budget(args), nat=nat)
-        if hcc is None:
-            result["status"] = "not_constructible"
-            result["failed_step"] = fail.get("step")
-            result["failed_index"] = fail.get("index")
-            result["certificate"] = fail.get("certificate")
-        else:
-            result["status"] = "defined"
-            result["levels"] = sorted([list(k) for k in hcc.data])
-            result["choice_log"] = hcc.choice_log
-        return result
-
-    if args.command == "adams-d":
-        if seq.length != n + 2:
-            raise UserInputError(
-                f"adams-d needs {n + 2} maps: the resolution window then the class lift"
-            )
-        window = MorphismSequence.of(seq.modules[: n + 2], seq.maps[: n + 1])
-        beta = seq.maps[n + 1]
-        hcc, fail = build_chain_complex(algebra, window, n, search_budget=_budget(args), nat=nat)
-        if hcc is None:
-            raise UserInputError(
-                "the resolution window does not extend to a coherent chain complex",
-                detail=fail,
-            )
-        res = adams_d(algebra, hcc, beta, n, nat=nat)
-        result.update(_bracket_payload(res))
-        return result
-
-    raise UserInputError(f"unknown command {args.command!r}")
+    return run_tower(args, result, algebra, doc)
 
 
 class _Parser(argparse.ArgumentParser):

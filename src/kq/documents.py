@@ -1,16 +1,15 @@
-"""Input document schemas and canonical serialization.
+"""Input document schemas and canonical serialization: the algebra half.
 
-Algebras are sparse structure-constant lists; sequences give module bases
+Algebras are sparse structure-constant lists.  Sequences give module bases
 and maps whose entries are explicit degree-zero cycles, so lifts are never
-guessed.  Serialization is canonical: fixed key order, basis sorted by
+guessed; their parser, which builds tower morphisms, is
+`kq.tower_cli.parse_sequence`, so that this module imports nothing of the
+tower.  Serialization is canonical: fixed key order, basis sorted by
 (lower degree, upper degree, name), no timestamps.
 """
 
-from .chain_algebra import ChainAlgebra, GradedModule
-from .cubical import point_ball
+from .chain_algebra import ChainAlgebra
 from .errors import UserInputError
-from .toda import MorphismSequence
-from .track import pt_morphism
 
 
 def _path(where):
@@ -110,54 +109,6 @@ def algebra_to_dict(Q):
     }
 
 
-def parse_sequence(doc, Q):
-    mods = []
-    names = {}
-    for t, item in enumerate(_need(doc, "modules", (), list)):
-        name = _need(item, "name", ("modules", t), str)
-        gens = []
-        for u, g in enumerate(_need(item, "generators", ("modules", t), list)):
-            at = ("modules", t, "generators", u)
-            gens.append((_need(g, "name", at, str), _need(g, "r", at, int)))
-        mod = GradedModule.of(gens)
-        if name in names:
-            raise UserInputError(f"duplicate module name {name!r}")
-        names[name] = mod
-        mods.append((name, mod))
-    maps = []
-    pt = point_ball()
-    for t, item in enumerate(_need(doc, "maps", (), list)):
-        src_name = _need(item, "from", ("maps", t), str)
-        dst_name = _need(item, "to", ("maps", t), str)
-        if t + 1 >= len(mods) or mods[t + 1][0] != src_name or mods[t][0] != dst_name:
-            raise UserInputError(
-                f"maps[{t}] must go from modules[{t + 1}] to modules[{t}] in order"
-            )
-        src = names[src_name]
-        dst = names[dst_name]
-        entries = {}
-        for u, e in enumerate(_need(item, "entries", ("maps", t), list)):
-            at = ("maps", t, "entries", u)
-            row = _need(e, "row", at, int)
-            col = _need(e, "col", at, int)
-            if not (0 <= row < dst.size and 0 <= col < src.size):
-                raise UserInputError(f"entry indices out of range at maps[{t}].entries[{u}]")
-            if (row, col) in entries:
-                raise UserInputError(f"duplicate map entry at maps[{t}].entries[{u}]")
-            vec = _coeff_list(_need(e, "value", at, list), (*at, "value"))
-            need_r = src.degree(col) - dst.degree(row)
-            for g in vec:
-                if g not in Q.bidegree:
-                    raise UserInputError(f"unknown algebra element {g!r} at maps[{t}].entries[{u}]")
-                if Q.bidegree[g] != (need_r, 0):
-                    raise UserInputError(
-                        f"entry value at maps[{t}].entries[{u}] must be a degree ({need_r},0) cycle"
-                    )
-            entries[(row, col)] = vec
-        maps.append(pt_morphism(pt, Q, src, dst, entries))
-    return MorphismSequence.of([mod for _, mod in mods], maps)
-
-
 def hclass_to_dict(h):
     return {
         "degree": h.r,
@@ -194,3 +145,12 @@ def presentation_to_dict(hom, r_max):
             }
         )
     return out
+
+
+def __getattr__(name):
+    """kq.documents.parse_sequence, which bench/universal.py imports, is kq.tower_cli's."""
+    if name == "parse_sequence":
+        from .tower_cli import parse_sequence  # loads the tower only for a caller that asks for it
+
+        return parse_sequence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

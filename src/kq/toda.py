@@ -35,7 +35,7 @@ WINDOW_UNSOUND = "degree_window_unsound"
 
 
 class MorphismSequence(Value):
-    """Maps X_N -> ... -> X_1 -> X_0 over the point, with chosen cycle lifts.
+    """Maps X_N -> ... -> X_1 -> X_0 over the point ball, with chosen cycle lifts.
 
     maps[t] is the (t+1)-st map, from modules[t+1] to modules[t].
     """
@@ -50,7 +50,7 @@ class MorphismSequence(Value):
         for t, f in enumerate(seq.maps):
             if f.src != seq.modules[t + 1] or f.dst != seq.modules[t]:
                 raise UserInputError(f"map {t + 1} does not match the module chain")
-            if list(f.ball.basis.dims.values()) != [0]:
+            if f.ball.basis.dims != {"": 0}:  # the walk reads a(i,0) at the point ball's one cell ""
                 raise UserInputError("sequence maps must live over the point")
         return seq
 

@@ -15,10 +15,11 @@ import random
 import pytest
 
 import kq.toda
-from kq.documents import parse_algebra, parse_sequence
+from kq.documents import parse_algebra
 from kq.errors import UserInputError
 from kq.oracle_support import EnumerationBudget
 from kq.toda import DEFINED, MorphismSequence, adams_d, build_chain_complex, oracle_bracket_set, toda_bracket
+from kq.tower_cli import parse_sequence
 
 from test_closed_form import universal
 from test_golden_stdout import hand_doc, point_sequence

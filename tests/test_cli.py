@@ -14,8 +14,9 @@ import pytest
 import kq.cli
 from kq.cli import main
 from kq.errors import InternalInvariantError
-from kq.documents import algebra_to_dict, parse_algebra, parse_sequence
+from kq.documents import algebra_to_dict, parse_algebra
 from kq.toda import toda_bracket
+from kq.tower_cli import parse_sequence
 
 from test_closed_form import universal
 from test_golden_stdout import TABLE, cases as golden_cases, window_cut
@@ -259,15 +260,54 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+TOWER_MODULES = {"kq.cubical", "kq.oracle_support", "kq.toda", "kq.track"}
+
+
 def test_import_loads_no_dataclasses_inspect_or_traceback():
     # each command is a fresh process that pays for every module it loads, and no command needs these;
-    # traceback is imported on the exit-2 path only.  Every engine module still loads, so the
-    # benchmark tracer, which wraps the kq modules right after importing kq.cli, sees them all.
+    # traceback is imported on the exit-2 path only.  The tower modules load only when a tower
+    # command runs, so the benchmark tracer, which wraps the kq modules it finds right after
+    # importing kq.cli, does not wrap them, and their spans read 0.
     r = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], capture_output=True, cwd=Path(__file__).resolve().parent.parent)
     assert r.returncode == 0, r.stderr
     loaded = set(json.loads(r.stdout))
     assert loaded & {"dataclasses", "inspect", "traceback"} == set()
-    assert {"kq.cubical", "kq.toda", "kq.track"} <= loaded
+    assert loaded & TOWER_MODULES == set()
+
+
+_COMMAND_MODULES = """
+import json, sys
+import kq.cli
+code = kq.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("kq."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, tower",
+    [
+        ("validate --algebra massey_algebra.json", False),
+        ("validate --algebra broken_d_squared.json", False),
+        ("homology --k 1 --algebra massey_algebra.json", False),
+        ("truncate --n 1 --algebra massey_algebra.json", False),
+        ("toda --algebra massey_algebra.json --sequence massey_sequence_abc.json", True),
+    ],
+)
+def test_only_the_tower_commands_load_the_tower(argv, tower):
+    # a fresh process per command: validate, homology and truncate never import the tower
+    r = _child("-c", _COMMAND_MODULES, *(str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()))
+    code, loaded = json.loads(r.stdout.splitlines()[-1])
+    assert code == 0, r.stderr
+    assert (TOWER_MODULES <= set(loaded)) if tower else not TOWER_MODULES & set(loaded)
+
+
+def test_documents_forwards_parse_sequence():
+    # bench/universal.py still imports the sequence parser from kq.documents
+    from kq.documents import parse_sequence as forwarded
+
+    assert forwarded is parse_sequence
+    with pytest.raises(AttributeError):
+        kq.documents.no_such_name
 
 
 def _child_env(**extra):

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from kq.chain_algebra import NatSystem
-from kq.documents import nat_to_dict, parse_algebra, parse_sequence
+from kq.documents import nat_to_dict, parse_algebra
 from kq.toda import toda_bracket
+from kq.tower_cli import parse_sequence
 
 _spec = importlib.util.spec_from_file_location(
     "universal", Path(__file__).resolve().parent.parent / "bench" / "universal.py"

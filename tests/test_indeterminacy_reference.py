@@ -12,9 +12,10 @@ import random
 import pytest
 
 from kq.chain_algebra import NatSystem, vec_add
-from kq.documents import algebra_to_dict, parse_algebra, parse_sequence
+from kq.documents import algebra_to_dict, parse_algebra
 from kq.errors import UserInputError
 from kq.toda import triple_indeterminacy
+from kq.tower_cli import parse_sequence
 
 from randalg import bracket_instances, random_valid_algebra, sequence_doc
 from test_closed_form import universal

@@ -15,8 +15,9 @@ import random
 import pytest
 
 from kq.chain_algebra import NatSystem
-from kq.documents import parse_algebra, parse_sequence
+from kq.documents import parse_algebra
 from kq.toda import oracle_bracket_set, toda_bracket
+from kq.tower_cli import parse_sequence
 
 from test_closed_form import universal
 

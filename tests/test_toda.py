@@ -9,7 +9,7 @@ import kq.toda
 import kq.track
 from kq.chain_algebra import ChainAlgebra, GradedModule, NatSystem, homology
 from kq.cubical import Ball, ChainBasis, corner_ball, cube_ball, point_ball
-from kq.documents import parse_algebra, parse_sequence
+from kq.documents import parse_algebra
 from kq.errors import UserInputError
 from kq.exact_linalg import AffineSolutionSet
 from kq.oracle_support import EnumerationBudget, enumerate_block_choices
@@ -24,6 +24,7 @@ from kq.toda import (
     DEFINED,
     NOT_CONSTRUCTIBLE,
 )
+from kq.tower_cli import parse_sequence
 from kq.track import SolveBlock, pt_morphism, zero_morphism
 
 from conftest import make_massey_algebra
@@ -54,6 +55,20 @@ def test_sequence_maps_need_the_point(qm):
     edge = Ball(ChainBasis({"*": 1}, {}))
     with pytest.raises(UserInputError, match="^sequence maps must live over the point$"):
         MorphismSequence.of([L0, L1], [zero_morphism(edge, L1, L0, qm)])
+
+
+def test_sequence_maps_need_the_point_ball_cell(qm):
+    # a one-cell base named "p" is a point too, but the walk reads a(i,0) at the cell "";
+    # over it, a, b, c used to give `defined` with a zero representative
+    L = [GradedModule.of([(f"z{t}", t)]) for t in range(4)]
+
+    def abc_over(base):
+        return [pt_morphism(base, qm, L[t + 1], L[t], {(0, 0): {x: 1}}) for t, x in enumerate("abc")]
+
+    rep = toda_bracket(qm, MorphismSequence.of(L, abc_over(point_ball())), 1).representative
+    assert rep.entries == ((0, 0, homology(qm, 1).class_of({"ay": 1, "xc": 1}, 3)),)
+    with pytest.raises(UserInputError, match="^sequence maps must live over the point$"):
+        MorphismSequence.of(L, abc_over(Ball(ChainBasis({"p": 0}, {}))))
 
 
 def test_massey_product_of_abc(qm):

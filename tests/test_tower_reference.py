@@ -19,7 +19,7 @@ import pytest
 
 from kq.chain_algebra import GradedModule, NatSystem
 from kq.cubical import corner_ball, cube_ball, point_ball
-from kq.documents import parse_algebra, parse_sequence
+from kq.documents import parse_algebra
 from kq.errors import BudgetExceededError, InternalInvariantError, UserInputError
 from kq.oracle_support import EnumerationBudget, enumerate_block_choices
 from kq.toda import (
@@ -34,6 +34,7 @@ from kq.toda import (
     oracle_bracket_set,
     toda_bracket,
 )
+from kq.tower_cli import parse_sequence
 from kq.track import TrackMorphism, extend, glue, inject_cubical, obstruction, pt_morphism, tensor
 
 from randalg import bracket_instances, budget_feasible, random_valid_algebra
