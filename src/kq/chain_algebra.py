@@ -240,22 +240,6 @@ class ChainAlgebra:
         index = self._index.__getitem__
         rows = _Rows(self.mul_of)  # read from the tables as they are now
 
-        def times(vec, c):
-            """vec*c, keys in elem_mul's order."""
-            out = {}
-            for x, k in vec.items():
-                for z, v in rows[x, c].items():
-                    out[z] = (out.get(z, 0) + k * v) % m
-            return {z: v for z, v in out.items() if v}
-
-        def times_left(a, vec):
-            """a*vec, keys in elem_mul's order."""
-            out = {}
-            for y, k in vec.items():
-                for z, v in rows[a, y].items():
-                    out[z] = (out.get(z, 0) + k * v) % m
-            return {z: v for z, v in out.items() if v}
-
         for a in self.names:
             if a == skip:
                 continue
@@ -286,7 +270,7 @@ class ChainAlgebra:
                 for v in acc.values():
                     if v % m:
                         lhs = self.elem_d(rows[a, b])
-                        rhs = vec_add(times(da, b), times_left(a, db), scale=sign, m=m)
+                        rhs = vec_add(self.elem_mul(da, {b: 1})[0], self.elem_mul({a: 1}, db)[0], scale=sign, m=m)
                         bad("leibniz", (a, b), f"d({a}*{b}) = {lhs} but Leibniz gives {rhs}")
                         break
 
@@ -317,8 +301,8 @@ class ChainAlgebra:
                         acc[z] = acc.get(z, 0) - k * v
                 for v in acc.values():
                     if v % m:
-                        left = times(rows[a, b], c)
-                        right = times_left(a, rows[b, c])
+                        left, _ = self.elem_mul(rows[a, b], {c: 1})
+                        right, _ = self.elem_mul({a: 1}, rows[b, c])
                         bad("associativity", (a, b, c), f"({a}*{b})*{c} = {left} but {a}*({b}*{c}) = {right}")
                         break
         return report

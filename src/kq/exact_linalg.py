@@ -155,14 +155,14 @@ def howell_form(vectors, width, m):
         if not cands:
             pool = rest
             continue
-        cands.sort(key=lambda r: (padic_val(r[j], p, k), tuple(r)))
-        piv = cands[0]
+        piv = min(cands, key=lambda r: padic_val(r[j], p, k))  # the first will do: the Howell form is unique
+        cands.remove(piv)
         a = padic_val(piv[j], p, k)
         w = piv[j] // (p**a)
         winv = pow(w, -1, m)
         piv = [(x * winv) % m for x in piv]
         new = []
-        for r in cands[1:]:
+        for r in cands:
             q = r[j] // (p**a)
             new.append([(x - q * y) % m for x, y in zip(r, piv)])
         if a > 0:

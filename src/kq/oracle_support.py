@@ -16,9 +16,9 @@ DEFAULT_BUDGET = 2**20
 
 
 class EnumerationBudget:
-    def __init__(self, max_points=DEFAULT_BUDGET, spent=0):
+    def __init__(self, max_points=DEFAULT_BUDGET):
         self.max_points = max_points
-        self.spent = spent
+        self.spent = 0
 
     def charge(self, n=1):
         self.spent += n

@@ -9,8 +9,9 @@ facet with a 0 in slot r+1.  An entry is one vector per source generator on
 its top cell *^k, which has no faces, so a stage's operator (track._operator)
 is d on dst (x) Q from level k to k-1: a walk reduces it once per
 (dst, deg, k) and solves each source generator's corner sum against it.
-TrackMorphisms appear only where the API takes or returns them.  The entry
-a(i,k) depends only on the picks made in its cone
+TrackMorphisms appear only as the sequence maps, each read once at the
+point's one cell; a higher chain complex holds the walk's own entries.  The
+entry a(i,k) depends only on the picks made in its cone
 {(i',k') : k' >= 1, i <= i', i'+k' <= i+k}, so a state of the walk is the
 tuple of member keys of the stages solved so far, each naming an entry
 built from the picks in its cone.  A walk solves each stage, builds each
@@ -26,7 +27,7 @@ the chain-complex search stops at the first coherent leaf.
 from .chain_algebra import NatSystem, vec_add, vec_scale
 from .errors import UserInputError
 from .oracle_support import EnumerationBudget, enumerate_block_choices
-from .track import _operator, apply_q_linear, class_matrix, solve_block, top_cell_morphism
+from .track import _operator, apply_q_linear, class_matrix, solve_block
 from .value import Value
 
 DEFINED = "defined"
@@ -75,7 +76,7 @@ class HigherChainComplex:
     def __init__(self, seq, order, data, choice_log=None):
         self.seq = seq  # a MorphismSequence
         self.order = order
-        self.data = data  # (index i, level k) -> TrackMorphism over the one-cell ball *^k, from the walk's vectors
+        self.data = data  # (index i, level k) -> the walk's entry: (one vector per source generator on *^k, taint)
         self.choice_log = [] if choice_log is None else choice_log
 
 
@@ -92,8 +93,7 @@ class _Walk:
 
     def __init__(self, Q, seq, n, prescribed=None):
         self.Q, self.modules, self.n = Q, seq.modules, n
-        given = {**{(i, 0): f for i, f in enumerate(seq.maps, 1)}, **(prescribed or {})}
-        self.given = {(i, k): (f.images("*" * k), f.tainted) for (i, k), f in given.items()}
+        self.given = {**{(i, 0): (f.images(""), f.tainted) for i, f in enumerate(seq.maps, 1)}, **(prescribed or {})}
         self.stages = [
             (i, k) for k in range(1, n + 1) for i in range(1, seq.length - k + 1) if (i, k) not in self.given
         ]
@@ -356,7 +356,7 @@ def triple_indeterminacy(Q, seq, nat=None):
         raise UserInputError("triple indeterminacy is defined for 1-truncated algebras")
     nat = nat_system(Q, 1, nat)
     X0, X1, X2, X3 = seq.modules
-    first, _, last = (f.images(f.ball.basis.cells()[0]) for f in seq.maps)
+    first, _, last = (f.images("") for f in seq.maps)
     sides = (
         (X2, X0, lambda e, t: apply_q_linear(Q, e, last[t])),
         (X3, X1, lambda e, t: apply_q_linear(Q, first, e[t])),
@@ -401,8 +401,7 @@ def build_chain_complex(Q, seq, n, search_budget=None, nat=None):
         if fail is None:
             fail = window_failure(keys)
         if fail is None:
-            X = seq.modules
-            data = {(i, k): top_cell_morphism(Q, X[i + k], X[i - 1], k, *walk.entry(keys, i, k)) for i, k in walk.stages}
+            data = {(i, k): walk.entry(keys, i, k) for i, k in walk.stages}
             return HigherChainComplex(seq, n, data, walk.log(keys)), None
         last_failure = fail
     return None, last_failure
@@ -426,5 +425,5 @@ def adams_d(Q, complex_, beta, n, nat=None):
     modules = list(complex_.seq.modules[: n + 2]) + [beta.src]
     maps = list(complex_.seq.maps[: n + 1]) + [beta]
     aug = MorphismSequence.of(modules, maps)
-    prescribed = {(i, k): f for (i, k), f in complex_.data.items() if i + k <= n + 1 and k >= 1}
+    prescribed = {(i, k): entry for (i, k), entry in complex_.data.items() if i + k <= n + 1}
     return _bracket(_Walk(Q, aug, n, prescribed), n, nat)

@@ -28,7 +28,6 @@ from .chain_algebra import by_generator, pair_basis, tensor_d, vec_add
 from .cubical import (
     AttachedCylinder,
     Ball,
-    ChainBasis,
     CubicalComplex,
     complex_basis,
     cylinder_ball,
@@ -61,9 +60,6 @@ class TrackMorphism:
             if v is not None:
                 out = vec_add(out, v, self.Q.m, scale=coeff)
         return out
-
-    def is_zero(self):
-        return not self.values
 
     def equal(self, other):
         return self.src == other.src and self.dst == other.dst and self.values == other.values
@@ -104,13 +100,6 @@ def pt_morphism(ball, Q, src, dst, entries):
         if vec:
             values[(cell, i)] = vec
     return TrackMorphism(ball, src, dst, Q, values)
-
-
-def top_cell_morphism(Q, src, dst, k, images, tainted):
-    """The morphism over the one-cell ball *^k whose top cell takes source generator i to images[i]."""
-    top = "*" * k
-    values = {(top, i): vec for i, vec in enumerate(images) if vec}
-    return TrackMorphism(Ball(ChainBasis({top: k}, {}), top), src, dst, Q, values, tainted)
 
 
 def apply_q_linear(Q, images, vec):

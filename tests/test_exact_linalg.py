@@ -180,27 +180,43 @@ def test_determinism_bit_identical():
     assert s1 == s2
 
 
-def test_howell_canonical_under_permutation():
-    m = 4
-    gens = [(2, 0, 2), (0, 2, 0), (2, 2, 2)]
-    h1 = howell_form(gens, 3, m)
-    h2 = howell_form(list(reversed(gens)), 3, m)
-    assert h1 == h2
-    # span equality with brute force
-    def span(rows):
-        out = set()
-        for coeffs in itertools.product(range(m), repeat=len(rows)):
-            v = [0, 0, 0]
-            for c, r in zip(coeffs, rows):
-                for t in range(3):
-                    v[t] = (v[t] + c * r[t]) % m
-            out.add(tuple(v))
-        return out
+def _additive_span(rows, width, m):
+    """The subgroup of (Z/m)^width the rows generate, by closing {0} under adding a row."""
+    out = {(0,) * width}
+    todo = list(out)
+    while todo:
+        v = todo.pop()
+        for r in rows:
+            w = tuple((x + y) % m for x, y in zip(v, r))
+            if w not in out:
+                out.add(w)
+                todo.append(w)
+    return out
 
-    assert span(h1) == span(gens)
-    for v in span(gens):
-        assert in_span(v, h1, m)
-        assert not any(howell_reduce(v, h1, m))
+
+def _assert_howell(gens, width, m, rng):
+    h = howell_form(gens, width, m)
+    for _ in range(3):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert howell_form(shuffled, width, m) == h
+    span = _additive_span(gens, width, m)
+    assert _additive_span(h, width, m) == span
+    assert all(in_span(v, h, m) for v in span)
+
+
+def test_howell_canonical_under_permutation():
+    rng = random.Random(7)
+    _assert_howell([(2, 0, 2), (0, 2, 0), (2, 2, 2)], 3, 4, rng)
+    # every entry a random multiple of a random power of p, so most pivots are not units
+    for m in (4, 8, 9, 27):
+        p, k = prime_power(m)
+        for _ in range(12):
+            gens = [
+                tuple(p ** rng.randrange(k) * rng.randrange(m) % m for _ in range(3))
+                for _ in range(rng.randint(1, 4))
+            ]
+            _assert_howell(gens, 3, m, rng)
 
 
 def test_quotient_basis_trivial_and_examples():

@@ -177,7 +177,7 @@ def test_chain_complex_zero_sequence(qm):
     seq = MorphismSequence.of([L, L, L], [z, z])
     hcc, fail = build_chain_complex(qm, seq, 1)
     assert fail is None
-    assert all(m.is_zero() for m in hcc.data.values())
+    assert all(not any(images) for images, _ in hcc.data.values())
 
 
 def test_chain_complex_two_term_ab(qm):
@@ -190,8 +190,8 @@ def test_chain_complex_two_term_ab(qm):
     seq = MorphismSequence.of([L0, L1, L2], [fa, fb])
     hcc, fail = build_chain_complex(qm, seq, 1)
     assert fail is None
-    f11 = hcc.data[(1, 1)]
-    assert f11.value("*", 0) == {(0, "x"): 1}
+    images, _ = hcc.data[(1, 1)]
+    assert images == ({(0, "x"): 1},)
 
 
 def test_chain_complex_fails_on_massey_sequence(qm):
@@ -631,8 +631,10 @@ def test_tower_stages_build_no_cube_balls():
 
 def test_tower_members_are_vectors(monkeypatch):
     # a stage solves on its top cell's operator and keeps each member as vectors,
-    # with no ball, basis or morphism per stage key or member
+    # with no ball, basis or morphism per stage key or member; a chain complex
+    # holds those vectors, and adams-d reads them back as they are
     algebra, seq = _tower_walk_shape(1)
+    window = MorphismSequence.of(seq.modules[:5], seq.maps[:4])
     built = collections.Counter()
 
     def counted(cls):
@@ -648,9 +650,19 @@ def test_tower_members_are_vectors(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counted(cls))
     assert toda_bracket(algebra, seq, 3).status == DEFINED
     assert oracle_bracket_set(algebra, seq, 3, EnumerationBudget(2**14))
+    complex_, fail = build_chain_complex(algebra, window, 3)
+    assert fail is None
+    assert adams_d(algebra, complex_, seq.maps[4], 3).status == DEFINED
     assert built == {}
+    assert all(isinstance(images, tuple) for images, _ in complex_.data.values())
     for name in ("solve_for_values", "Ball", "ChainBasis"):
         assert not hasattr(kq.toda, name)
+    # the morphism constructors left in track build the sequence maps and the model's data
+    assert {name for name in vars(kq.track) if name.endswith("_morphism")} == {
+        "identity_morphism",
+        "pt_morphism",
+        "zero_morphism",
+    }
 
 
 def test_replay_pinned_choice():
