@@ -10,7 +10,9 @@ landing above it vanish by definition.
 Homology in each lower degree k is presented per upper degree as a finite
 Z/p^k-module: cycle representatives with annihilator exponents, computed by
 exact Smith reduction.  Natural-system elements (matrices over H_k between
-free graded modules) live here as well.
+free graded modules) live here as well, with the chain-level product of
+maps over the point (apply_q_linear) and the classes of its cycles
+(class_matrix).
 """
 
 import math
@@ -470,7 +472,8 @@ def _unit_named(coords, free, unit, unit_coords, m):
 # ---------------------------------------------------------------------------
 # graded modules; an element of (module tensor Q) is a plain vector
 # {(generator index, algebra basis name): residue}, and a window cut met in
-# computing one is recorded only in the TrackMorphism.tainted of its morphism
+# computing one is recorded only in the taint flag of the map that holds it
+# (TrackMorphism.tainted, toda.PointMap.tainted, a tower entry's flag)
 
 
 class GradedModule(Value):
@@ -518,6 +521,28 @@ def tensor_d(Q, vec):
     return {(j, x): v for j, part in by_generator(vec).items() for x, v in Q.elem_d(part).items()}
 
 
+def entry_images(entries, size, m):
+    """One vector of (module tensor Q) per source generator, from a matrix of algebra vectors, reduced mod m.
+
+    entries: dict (target index j, source index i) -> sparse algebra vector.
+    """
+    return tuple(
+        {(j, q): c % m for (j, ii), row in entries.items() if ii == i for q, c in row.items() if c % m}
+        for i in range(size)
+    )
+
+
+def apply_q_linear(Q, images, vec):
+    """The Q-linear map taking source generator i to images[i], applied to vec, and whether the window cut a product."""
+    out, cut = {}, False
+    for i, q in by_generator(vec).items():
+        for j, part in by_generator(images[i]).items():
+            prod, flag = Q.elem_mul(part, q)
+            cut = cut or flag
+            out = vec_add(out, {(j, x): v for x, v in prod.items()}, Q.m)
+    return out, cut
+
+
 # ---------------------------------------------------------------------------
 # natural system elements
 
@@ -544,8 +569,8 @@ class NatSystem:
     """The level-k coefficient system: matrices over H_k between free graded modules.
 
     Only the level-k homology is built.  Composing such a matrix with maps
-    over the point is done at the chain level, with track.apply_q_linear, and
-    read back with track.class_matrix.
+    over the point is done at the chain level, with apply_q_linear, and read
+    back with class_matrix.
     """
 
     def __init__(self, Q, k):
@@ -591,3 +616,9 @@ class NatSystem:
         for _, _, r in self.slots(src, dst):
             total *= self.hom.size(r)
         return total
+
+
+def class_matrix(nat, src, dst, sums):
+    """The natural-system element whose (j, i) entry is the class of the j-part of sums[i]."""
+    cycles = {(j, i): part for i, acc in enumerate(sums) for j, part in by_generator(acc).items()}
+    return nat.from_cycles(src, dst, cycles)

@@ -11,8 +11,9 @@ and the traceback on stderr).
 validate, truncate and homology run here and load only the algebra half of
 the engine (errors, value, exact_linalg, chain_algebra, documents).  The
 commands that take a sequence leave run() through one import of
-kq.tower_cli, which brings in toda, track, cubical and oracle_support, so
-a process pays to load the tower only when it walks one.
+kq.tower_cli, which brings in toda and oracle_support, so a process pays to
+load the tower only when it walks one.  No command loads the cubical model
+(cubical, track).
 """
 
 import argparse

@@ -2,7 +2,7 @@
 
 Algebras are sparse structure-constant lists.  Sequences give module bases
 and maps whose entries are explicit degree-zero cycles, so lifts are never
-guessed; their parser, which builds tower morphisms, is
+guessed; their parser, which builds the sequence's point maps, is
 `kq.tower_cli.parse_sequence`, so that this module imports nothing of the
 tower.  Serialization is canonical: fixed key order, basis sorted by
 (lower degree, upper degree, name), no timestamps.

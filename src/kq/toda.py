@@ -6,12 +6,14 @@ defining system (Kraines 1966, May 1969).  Its only unknown is the value on
 the top cell, solved from d a(i,k) = sum_{r<k} (-1)^(r+1) a(i,r) a(i+r+1,k-1-r)
 with products of top cells and a(i,0) the i-th map; the sign is that of the
 facet with a 0 in slot r+1.  An entry is one vector per source generator on
-its top cell *^k, which has no faces, so a stage's operator (track._operator)
-is d on dst (x) Q from level k to k-1: a walk reduces it once per
-(dst, deg, k) and solves each source generator's corner sum against it.
-TrackMorphisms appear only as the sequence maps, each read once at the
-point's one cell; a higher chain complex holds the walk's own entries.  The
-entry a(i,k) depends only on the picks made in its cone
+its top cell *^k, which has no faces, so a stage's operator
+(oracle_support.solve_operator) is d on dst (x) Q from level k to k-1: a
+walk reduces it once per (dst, deg, k) and solves each source generator's
+corner sum against it.  A sequence holds its maps as PointMaps, the images
+of the source generators over the point, and a higher chain complex holds
+the walk's own entries, so the walk builds no ball and no morphism of the
+cubical model (kq.cubical, kq.track) and loads neither.  The entry a(i,k)
+depends only on the picks made in its cone
 {(i',k') : k' >= 1, i <= i', i'+k' <= i+k}, so a state of the walk is the
 tuple of member keys of the stages solved so far, each naming an entry
 built from the picks in its cone.  A walk solves each stage, builds each
@@ -24,10 +26,9 @@ branch, the oracle visits every leaf to produce the exact bracket set, and
 the chain-complex search stops at the first coherent leaf.
 """
 
-from .chain_algebra import NatSystem, vec_add, vec_scale
+from .chain_algebra import NatSystem, apply_q_linear, class_matrix, vec_add, vec_scale
 from .errors import UserInputError
-from .oracle_support import EnumerationBudget, enumerate_block_choices
-from .track import _operator, apply_q_linear, class_matrix, solve_block
+from .oracle_support import EnumerationBudget, enumerate_block_choices, solve_block, solve_operator
 from .value import Value
 
 DEFINED = "defined"
@@ -35,25 +36,42 @@ NOT_CONSTRUCTIBLE = "not_constructible"
 WINDOW_UNSOUND = "degree_window_unsound"
 
 
-class MorphismSequence(Value):
-    """Maps X_N -> ... -> X_1 -> X_0 over the point ball, with chosen cycle lifts.
+class PointMap(Value):
+    """A sequence map as the walk reads it: images[i] is the vector of dst (x) Q that source generator i goes to.
 
-    maps[t] is the (t+1)-st map, from modules[t+1] to modules[t].
+    tainted records whether a window cut occurred while the map was built.
+    """
+
+    _fields = ("src", "dst", "images", "tainted")
+
+
+class MorphismSequence(Value):
+    """Maps X_N -> ... -> X_1 -> X_0 over the point, with chosen cycle lifts.
+
+    maps[t] is the (t+1)-st map, from modules[t+1] to modules[t], a PointMap.
     """
 
     _fields = ("modules", "maps")
 
     @staticmethod
     def of(modules, maps):
-        seq = MorphismSequence(tuple(modules), tuple(maps))
-        if len(seq.modules) != len(seq.maps) + 1:
+        """The sequence of modules and maps, each map a PointMap or a TrackMorphism over the point ball.
+
+        A TrackMorphism is read here, once, at the point ball's one cell "".
+        """
+        modules, maps = tuple(modules), tuple(maps)
+        if len(modules) != len(maps) + 1:
             raise UserInputError("a sequence must list one more module than maps")
-        for t, f in enumerate(seq.maps):
-            if f.src != seq.modules[t + 1] or f.dst != seq.modules[t]:
+        point_maps = []
+        for t, f in enumerate(maps):
+            if f.src != modules[t + 1] or f.dst != modules[t]:
                 raise UserInputError(f"map {t + 1} does not match the module chain")
-            if f.ball.basis.dims != {"": 0}:  # the walk reads a(i,0) at the point ball's one cell ""
-                raise UserInputError("sequence maps must live over the point")
-        return seq
+            if not isinstance(f, PointMap):
+                if f.ball.basis.dims != {"": 0}:
+                    raise UserInputError("sequence maps must live over the point")
+                f = PointMap(f.src, f.dst, f.images(""), f.tainted)
+            point_maps.append(f)
+        return MorphismSequence(modules, tuple(point_maps))
 
     @property
     def length(self):
@@ -93,12 +111,12 @@ class _Walk:
 
     def __init__(self, Q, seq, n, prescribed=None):
         self.Q, self.modules, self.n = Q, seq.modules, n
-        self.given = {**{(i, 0): (f.images(""), f.tainted) for i, f in enumerate(seq.maps, 1)}, **(prescribed or {})}
+        self.given = {**{(i, 0): (f.images, f.tainted) for i, f in enumerate(seq.maps, 1)}, **(prescribed or {})}
         self.stages = [
             (i, k) for k in range(1, n + 1) for i in range(1, seq.length - k + 1) if (i, k) not in self.given
         ]
         self.position = {stage: t for t, stage in enumerate(self.stages)}
-        self.operators = {}  # (dst, source degree, level) -> operator, as track._operator builds it
+        self.operators = {}  # (dst, source degree, level) -> operator, as solve_operator builds it
         self.solves = {}  # stage key -> (blocks, taint, None) or (None, None, certificate)
         self.members = {}  # (stage key, pick) -> member key
         self.built = []  # member key -> ((one vector per source generator on *^k, taint), its choice-log entries)
@@ -166,7 +184,7 @@ class _Walk:
             for gen, acc in enumerate(sums):
                 op = (dst, src.degree(gen), k)
                 if op not in self.operators:
-                    self.operators[op] = _operator({top: k}, {}, self.Q, dst, op[1])
+                    self.operators[op] = solve_operator({top: k}, {}, self.Q, dst, op[1])
                 const = {(top, x): v for x, v in acc.items()}
                 block, cert = solve_block(self.operators[op], src, gen, const, self.Q.m)
                 if block is None:
@@ -356,7 +374,7 @@ def triple_indeterminacy(Q, seq, nat=None):
         raise UserInputError("triple indeterminacy is defined for 1-truncated algebras")
     nat = nat_system(Q, 1, nat)
     X0, X1, X2, X3 = seq.modules
-    first, _, last = (f.images("") for f in seq.maps)
+    first, _, last = (f.images for f in seq.maps)
     sides = (
         (X2, X0, lambda e, t: apply_q_linear(Q, e, last[t])),
         (X3, X1, lambda e, t: apply_q_linear(Q, first, e[t])),

@@ -2,14 +2,15 @@
 
 `kq.cli` runs validate, truncate and homology itself and imports this module
 only for the commands that take a sequence (massey, toda, oracle,
-chain-complex, adams-d).  Everything the tower needs (toda, track, cubical,
-oracle_support) is imported here, so the algebra commands load none of it.
+chain-complex, adams-d).  Everything the tower needs (toda, oracle_support)
+is imported here, so the algebra commands load none of it.  A sequence
+document's maps are built as point maps (toda.PointMap), so no command loads
+the cubical model (cubical, track).
 """
 
 import os
 
-from .chain_algebra import GradedModule
-from .cubical import point_ball
+from .chain_algebra import GradedModule, entry_images
 from .documents import _coeff_list, _need, nat_to_dict
 from .errors import UserInputError
 from .oracle_support import DEFAULT_BUDGET, EnumerationBudget
@@ -17,6 +18,7 @@ from .toda import (
     DEFINED,
     WINDOW_UNSOUND,
     MorphismSequence,
+    PointMap,
     adams_d,
     build_chain_complex,
     nat_system,
@@ -24,7 +26,6 @@ from .toda import (
     toda_bracket,
     triple_indeterminacy,
 )
-from .track import pt_morphism
 
 
 def parse_sequence(doc, Q):
@@ -42,7 +43,6 @@ def parse_sequence(doc, Q):
         names[name] = mod
         mods.append((name, mod))
     maps = []
-    pt = point_ball()
     for t, item in enumerate(_need(doc, "maps", (), list)):
         src_name = _need(item, "from", ("maps", t), str)
         dst_name = _need(item, "to", ("maps", t), str)
@@ -71,7 +71,7 @@ def parse_sequence(doc, Q):
                         f"entry value at maps[{t}].entries[{u}] must be a degree ({need_r},0) cycle"
                     )
             entries[(row, col)] = vec
-        maps.append(pt_morphism(pt, Q, src, dst, entries))
+        maps.append(PointMap(src, dst, entry_images(entries, src.size, Q.m), False))
     return MorphismSequence.of([mod for _, mod in mods], maps)
 
 

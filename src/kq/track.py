@@ -13,18 +13,18 @@ pullback along a chain map: restriction along an inclusion, the injection
 onto a face of a larger cube along the inverse of the face inclusion, the
 constant homotopy along the projection of its cylinder, and the action of a
 homotopy on a face along the sweep of that face across the homotopy's own
-cylinder, glued onto the ball (cubical.AttachedCylinder).  Extensions,
-homotopy tests and each stage of the Toda tower (kq.toda) solve the chain
-conditions over Z/p^k with one operator builder, _operator, from unknown
-cells and a boundary map, and solve_block per source generator; the tower's
-one top cell has no faces.  solve_for_values returns the solution set on a
-ball, whose free parameters are reported for reproducibility and
-enumeration; SolveResult.instantiate builds one member from it.
+cylinder, glued onto the ball (cubical.AttachedCylinder).  Extensions and
+homotopy tests solve the chain conditions over Z/p^k as each stage of the
+Toda tower does: with the one operator builder,
+oracle_support.solve_operator, from unknown cells and a boundary map, and
+oracle_support.solve_block per source generator.  solve_for_values returns
+the solution set on a ball, whose free parameters are reported for
+reproducibility and enumeration; SolveResult.instantiate builds one member
+from it.  The tower walk (kq.toda) uses none of this module: a sequence map
+over the point ball enters it once, through toda.MorphismSequence.of.
 """
 
-from collections import defaultdict
-
-from .chain_algebra import by_generator, pair_basis, tensor_d, vec_add
+from .chain_algebra import apply_q_linear, class_matrix, entry_images, tensor_d, vec_add
 from .cubical import (
     AttachedCylinder,
     Ball,
@@ -35,7 +35,7 @@ from .cubical import (
     orientation_sign,
 )
 from .errors import InternalInvariantError, ModulusMismatchError, UserInputError
-from .exact_linalg import factor
+from .oracle_support import solve_block, solve_operator
 
 
 class TrackMorphism:
@@ -94,23 +94,8 @@ def pt_morphism(ball, Q, src, dst, entries):
     if list(ball.basis.dims.values()) != [0]:
         raise UserInputError("pt_morphism needs the one-cell base")
     (cell,) = ball.basis.dims
-    values = {}
-    for i in range(src.size):
-        vec = {(j, q): c % Q.m for (j, ii), row in entries.items() if ii == i for q, c in row.items() if c % Q.m}
-        if vec:
-            values[(cell, i)] = vec
+    values = {(cell, i): vec for i, vec in enumerate(entry_images(entries, src.size, Q.m)) if vec}
     return TrackMorphism(ball, src, dst, Q, values)
-
-
-def apply_q_linear(Q, images, vec):
-    """The Q-linear map taking source generator i to images[i], applied to vec, and whether the window cut a product."""
-    out, cut = {}, False
-    for i, q in by_generator(vec).items():
-        for j, part in by_generator(images[i]).items():
-            prod, flag = Q.elem_mul(part, q)
-            cut = cut or flag
-            out = vec_add(out, {(j, x): v for x, v in prod.items()}, Q.m)
-    return out, cut
 
 
 def compose(g, f):
@@ -243,31 +228,6 @@ def constant_homotopy(f):
 # the solver
 
 
-class SolveBlock:
-    def __init__(self, generator, slots, solutions, chosen):
-        self.generator = generator
-        self.slots = slots  # (cell, (target gen, algebra name)) in solver column order
-        self.solutions = solutions  # an AffineSolutionSet
-        self.chosen = chosen
-
-    def choose(self, choices):
-        """This block with the member picked by choices, dict generator -> kernel coefficients, and that member by slot.
-
-        A generator left out takes the particular solution.
-        """
-        sol = self.solutions
-        pick = tuple((choices or {}).get(self.generator, ()))
-        if pick and len(pick) != len(sol.kernel_basis):
-            raise UserInputError("choice vector has the wrong number of parameters")
-        x = sol.member(pick) if pick else sol.particular
-        block = SolveBlock(self.generator, self.slots, sol, pick or (0,) * len(sol.kernel_basis))
-        return block, {slot: v % sol.m for slot, v in zip(self.slots, x) if v % sol.m}
-
-    def log(self, label):
-        free = len(self.solutions.kernel_basis)
-        return {"stage": label, "generator": self.generator, "free_parameters": free, "chosen": list(self.chosen)}
-
-
 class SolveResult:
     def __init__(self, morphism, blocks=None):
         self.morphism = morphism  # the prescribed values, or a member once instantiated
@@ -285,46 +245,6 @@ class SolveResult:
             for (c, key), v in member.items():
                 values.setdefault((c, b.generator), {})[key] = v
         return SolveResult(TrackMorphism(f.ball, f.src, f.dst, f.Q, values, f.tainted), blocks)
-
-
-def _operator(cells, boundary, Q, dst, deg):
-    """The operator of one solve: its slots, its rows and the LinearFactor of its matrix.
-
-    cells: the unknown cells in column order, each with its dimension;
-    boundary: cell -> {face: incidence}, lowering the dimension by one.  The
-    matrix takes the values on the unknown cells, for a source generator of
-    degree deg, to d f(c) - f(dc) on every cell they touch.
-    """
-    cofaces = defaultdict(list)
-    for x, row in boundary.items():
-        for c, w in row.items():
-            cofaces[c].append((x, w))
-    slots = [(c, key) for c, dim in cells.items() for key in pair_basis(dst, Q, deg, dim)]
-    touched = dict(cells)  # cell -> its dimension
-    entries = defaultdict(dict)  # row (cell, key) -> {slot: coefficient}
-    for t, (c, (j, q)) in enumerate(slots):  # d(e_key) at c, minus the incidence at each coface
-        for x, v in Q.d_of(q).items():
-            entries[(c, (j, x))][t] = v
-        for x, w in cofaces[c]:
-            entries[(x, (j, q))][t] = -w
-            touched[x] = cells[c] + 1
-    order = sorted(touched, key=lambda c: (touched[c], c))  # as ChainBasis.cells orders them
-    rows = [(c, key) for c in order for key in pair_basis(dst, Q, deg, touched[c] - 1)]
-    A = [[entries.get(r, {}).get(t, 0) % Q.m for t in range(len(slots))] for r in rows]
-    return slots, rows, factor(A, Q.m, cols=len(slots))
-
-
-def solve_block(operator, src, i, const, m):
-    """Generator i's block at the right side const, dict row -> value, which it consumes; or None and why.
-
-    A value on a row outside the operator's rows has no solution.
-    """
-    slots, rows, fac = operator
-    b = [const.pop(r, 0) for r in rows]
-    sol = None if any(v % m for v in const.values()) else fac.solve(b)
-    if sol is not None:
-        return SolveBlock(i, slots, sol, ()), None
-    return None, {"generator": src.name(i), "unknowns": len(slots), "reason": "no solution to the chain conditions"}
 
 
 def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, tainted=False):
@@ -346,7 +266,7 @@ def solve_for_values(ball, Q, src, dst, prescribed, unknown_cells, tainted=False
     for i in range(src.size):
         deg = src.degree(i)
         if deg not in operators:
-            operators[deg] = _operator(cells, basis.bnd, Q, dst, deg)
+            operators[deg] = solve_operator(cells, basis.bnd, Q, dst, deg)
         const = {}  # row -> f(dc) - d f(c) on the prescribed values
         for cell in basis.cells():
             known_d = tensor_d(Q, known.value(cell, i))
@@ -490,8 +410,3 @@ def obstruction(F, nat, orientation=1):
         sums.append(acc)
     return class_matrix(nat, F.src, F.dst, sums)
 
-
-def class_matrix(nat, src, dst, sums):
-    """The natural-system element whose (j, i) entry is the class of the j-part of sums[i]."""
-    cycles = {(j, i): part for i, acc in enumerate(sums) for j, part in by_generator(acc).items()}
-    return nat.from_cycles(src, dst, cycles)

@@ -184,11 +184,10 @@ def sequence_doc(seq):
     ]
     maps = []
     for t, f in enumerate(seq.maps, 1):
-        cell = f.ball.basis.cells()[0]
         entries = []
-        for col in range(f.src.size):
+        for col, image in enumerate(f.images):
             by_row = {}
-            for (row, name), c in sorted(f.value(cell, col).items()):
+            for (row, name), c in sorted(image.items()):
                 by_row.setdefault(row, []).append({"gen": name, "coeff": c})
             entries.extend({"row": row, "col": col, "value": value} for row, value in sorted(by_row.items()))
         maps.append({"from": f"X{t}", "to": f"X{t - 1}", "entries": entries})

@@ -260,19 +260,22 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-TOWER_MODULES = {"kq.cubical", "kq.oracle_support", "kq.toda", "kq.track"}
+TOWER_MODULES = {"kq.oracle_support", "kq.toda"}  # the tower walk
+MODEL_MODULES = {"kq.cubical", "kq.track"}  # the cubical model, which no command loads
 
 
 def test_import_loads_no_dataclasses_inspect_or_traceback():
     # each command is a fresh process that pays for every module it loads, and no command needs these;
     # traceback is imported on the exit-2 path only.  The tower modules load only when a tower
-    # command runs, so the benchmark tracer, which wraps the kq modules it finds right after
-    # importing kq.cli, does not wrap them, and their spans read 0.
+    # command runs, and the model modules in no command.  The benchmark tracer wraps only the kq
+    # modules it finds right after importing kq.cli, so it does not wrap the tower's references
+    # and their spans read 0; it imports kq.toda, kq.cubical and kq.track itself to resolve the
+    # names it wraps, so a traced tower run loads the model after all.
     r = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], capture_output=True, cwd=Path(__file__).resolve().parent.parent)
     assert r.returncode == 0, r.stderr
     loaded = set(json.loads(r.stdout))
     assert loaded & {"dataclasses", "inspect", "traceback"} == set()
-    assert loaded & TOWER_MODULES == set()
+    assert loaded & (TOWER_MODULES | MODEL_MODULES) == set()
 
 
 _COMMAND_MODULES = """
@@ -290,15 +293,20 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("kq."))]))
         ("validate --algebra broken_d_squared.json", False),
         ("homology --k 1 --algebra massey_algebra.json", False),
         ("truncate --n 1 --algebra massey_algebra.json", False),
-        ("toda --algebra massey_algebra.json --sequence massey_sequence_abc.json", True),
+        *(
+            (f"{command} --algebra massey_algebra.json --sequence massey_sequence_abc.json", True)
+            for command in ("toda", "massey", "oracle", "chain-complex", "adams-d")
+        ),
     ],
 )
 def test_only_the_tower_commands_load_the_tower(argv, tower):
-    # a fresh process per command: validate, homology and truncate never import the tower
+    # a fresh process per command: validate, homology and truncate never import the tower, and
+    # the tower commands walk it from point maps and vectors, so no command loads the cubical model
     r = _child("-c", _COMMAND_MODULES, *(str(FIXTURES / a) if a.endswith(".json") else a for a in argv.split()))
     code, loaded = json.loads(r.stdout.splitlines()[-1])
     assert code == 0, r.stderr
     assert (TOWER_MODULES <= set(loaded)) if tower else not TOWER_MODULES & set(loaded)
+    assert not MODEL_MODULES & set(loaded)
 
 
 def test_documents_forwards_parse_sequence():

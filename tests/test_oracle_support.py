@@ -10,10 +10,11 @@ from kq.errors import BudgetExceededError
 from kq.exact_linalg import AffineSolutionSet, howell_form, solve_dense
 from kq.oracle_support import (
     EnumerationBudget,
+    SolveBlock,
     enumerate_block_choices,
     solution_count,
 )
-from kq.track import SolveBlock, extend, obstruction
+from kq.track import extend, obstruction
 
 from conftest import make_massey_algebra
 from track_helpers import random_morphism

@@ -1,10 +1,12 @@
 import collections
+import copy
 import functools
 import random
 
 import pytest
 
 import kq.cubical
+import kq.oracle_support
 import kq.toda
 import kq.track
 from kq.chain_algebra import ChainAlgebra, GradedModule, NatSystem, homology
@@ -12,10 +14,11 @@ from kq.cubical import Ball, ChainBasis, corner_ball, cube_ball, point_ball
 from kq.documents import parse_algebra
 from kq.errors import UserInputError
 from kq.exact_linalg import AffineSolutionSet
-from kq.oracle_support import EnumerationBudget, enumerate_block_choices
+from kq.oracle_support import EnumerationBudget, SolveBlock, enumerate_block_choices
 from kq.toda import (
     BracketResult,
     MorphismSequence,
+    PointMap,
     adams_d,
     build_chain_complex,
     oracle_bracket_set,
@@ -23,12 +26,13 @@ from kq.toda import (
     triple_indeterminacy,
     DEFINED,
     NOT_CONSTRUCTIBLE,
+    WINDOW_UNSOUND,
 )
 from kq.tower_cli import parse_sequence
-from kq.track import SolveBlock, pt_morphism, zero_morphism
+from kq.track import compose, pt_morphism, zero_morphism
 
 from conftest import make_massey_algebra
-from randalg import bracket_instances, budget_feasible, random_valid_algebra
+from randalg import bracket_instances, budget_feasible, random_valid_algebra, sequence_doc
 from test_closed_form import universal
 
 
@@ -69,6 +73,62 @@ def test_sequence_maps_need_the_point_ball_cell(qm):
     assert rep.entries == ((0, 0, homology(qm, 1).class_of({"ay": 1, "xc": 1}, 3)),)
     with pytest.raises(UserInputError, match="^sequence maps must live over the point$"):
         MorphismSequence.of(L, abc_over(Ball(ChainBasis({"p": 0}, {}))))
+
+
+def test_a_tainted_sequence_map_makes_the_bracket_unsound(qm):
+    # abc * ab lies in upper degree 5, above the window (rMax 4): their composite over the point is 0 and tainted
+    L = [GradedModule.of([(f"z{t}", d)]) for t, d in enumerate((0, 1, 2, 7))]
+    B = GradedModule.of([("u", 5)])
+    pt = point_ball()
+    cut = compose(pt_morphism(pt, qm, B, L[2], {(0, 0): {"abc": 1}}), pt_morphism(pt, qm, L[3], B, {(0, 0): {"ab": 1}}))
+    assert cut.tainted and not cut.values
+    fa = pt_morphism(pt, qm, L[1], L[0], {(0, 0): {"a": 1}})
+    fb = pt_morphism(pt, qm, L[2], L[1], {(0, 0): {"b": 1}})
+    seq = MorphismSequence.of(L, [fa, fb, cut])
+    assert seq.maps[2] == PointMap(L[3], L[2], ({},), True)
+    assert toda_bracket(qm, seq, 1).status == WINDOW_UNSOUND
+    # the same zero map with no cut gives a defined bracket: the taint alone makes the difference
+    clean = MorphismSequence.of(L, [fa, fb, zero_morphism(pt, L[3], L[2], qm)])
+    assert toda_bracket(qm, clean, 1).status == DEFINED
+
+
+def _model_route(doc, Q):
+    """doc's sequence with its maps built by pt_morphism over the point ball, as MorphismSequence.of reads them."""
+    modules = parse_sequence(doc, Q).modules
+    maps = []
+    for t, item in enumerate(doc["maps"]):
+        entries = {}
+        for e in item["entries"]:
+            row = entries.setdefault((e["row"], e["col"]), {})
+            for v in e["value"]:
+                row[v["gen"]] = row.get(v["gen"], 0) + v["coeff"]
+        maps.append(pt_morphism(point_ball(), Q, modules[t + 1], modules[t], entries))
+    return MorphismSequence.of(modules, maps)
+
+
+def test_both_routes_build_one_map_type():
+    # a sequence read from its document and one built from pt_morphism maps hold equal point maps
+    for seed in range(3):
+        rng = random.Random(seed)
+        q = random_valid_algebra(rng)
+        for seq in bracket_instances(q, rng):
+            assert parse_sequence(sequence_doc(seq), q).maps == seq.maps
+    for order in (1, 2, 3):
+        for modulus in (3, 4):
+            rng = random.Random(10 * order + modulus)
+            algebra, _ = parse_algebra(universal.algebra_doc(order, modulus, rng))
+            doc = universal.sequence_doc(order, universal.draw_units(order, modulus, rng))
+            unreduced = copy.deepcopy(doc)  # every coefficient off by -modulus, as two terms of one name
+            for e in (e for item in unreduced["maps"] for e in item["entries"]):
+                e["value"] = [{**v, "coeff": c} for v in e["value"] for c in (v["coeff"] - 2 * modulus, modulus)]
+            zeroed = copy.deepcopy(doc)  # the second map's entry vanishes mod the modulus
+            zeroed["maps"][1]["entries"][0]["value"][0]["coeff"] = modulus
+            for variant in (doc, unreduced, zeroed):
+                seq = parse_sequence(variant, algebra)
+                assert seq.maps == _model_route(variant, algebra).maps
+                assert parse_sequence(sequence_doc(seq), algebra).maps == seq.maps
+            assert parse_sequence(unreduced, algebra).maps == parse_sequence(doc, algebra).maps
+            assert parse_sequence(zeroed, algebra).maps[1].images == ({},)
 
 
 def test_massey_product_of_abc(qm):
@@ -443,7 +503,7 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
     rng = random.Random(1)
     algebra, _ = parse_algebra(universal.algebra_doc(3, 4, rng, free_cycle=True))
     seq = parse_sequence(universal.sequence_doc(3, universal.draw_units(3, 4, rng)), algebra)
-    solve, operator, factor = kq.toda._Walk.solve, kq.toda._operator, kq.track.factor
+    solve, operator, factor = kq.toda._Walk.solve, kq.toda.solve_operator, kq.oracle_support.factor
     seen = {"solves": 0, "builds": 0, "factors": 0, "operators": set()}
 
     def counted_solve(walk, keys, cone):
@@ -463,8 +523,8 @@ def test_walk_factors_each_operator_once(walk, monkeypatch):
         return factor(*args, **kwargs)
 
     monkeypatch.setattr(kq.toda._Walk, "solve", counted_solve)
-    monkeypatch.setattr(kq.toda, "_operator", counted_operator)
-    monkeypatch.setattr(kq.track, "factor", counted_factor)
+    monkeypatch.setattr(kq.toda, "solve_operator", counted_operator)
+    monkeypatch.setattr(kq.oracle_support, "factor", counted_factor)
     for every_pick, states, _, _ in TOWER_WALKS:
         with monkeypatch.context() as mp:
             _walk_every_pick(mp, every_pick)
@@ -632,9 +692,8 @@ def test_tower_stages_build_no_cube_balls():
 def test_tower_members_are_vectors(monkeypatch):
     # a stage solves on its top cell's operator and keeps each member as vectors,
     # with no ball, basis or morphism per stage key or member; a chain complex
-    # holds those vectors, and adams-d reads them back as they are
-    algebra, seq = _tower_walk_shape(1)
-    window = MorphismSequence.of(seq.modules[:5], seq.maps[:4])
+    # holds those vectors, and adams-d reads them back as they are.  The parsed
+    # sequence holds point maps, so from document to answer no model object is built
     built = collections.Counter()
 
     def counted(cls):
@@ -648,6 +707,9 @@ def test_tower_members_are_vectors(monkeypatch):
 
     for cls in (kq.cubical.ChainBasis, kq.cubical.Ball, kq.track.TrackMorphism):
         monkeypatch.setattr(cls, "__init__", counted(cls))
+    algebra, seq = _tower_walk_shape(1)
+    assert all(type(f) is PointMap for f in seq.maps)
+    window = MorphismSequence.of(seq.modules[:5], seq.maps[:4])
     assert toda_bracket(algebra, seq, 3).status == DEFINED
     assert oracle_bracket_set(algebra, seq, 3, EnumerationBudget(2**14))
     complex_, fail = build_chain_complex(algebra, window, 3)

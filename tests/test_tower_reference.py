@@ -5,11 +5,13 @@ of the k-cube through the origin (tensor, inject_cubical, glue) and extends
 that assembly across the whole cube, zero on the facets through the opposite
 corner (extend); brackets are read off the final corner assembly by
 obstruction.  _Tower and _walk are kept verbatim from before the tower ran on
-top cells; the four entry points around them are the bodies of that version
-without their argument checks.  kq.toda solves only the top cell of each
-stage, and every answer, choice log, budget count and window verdict must
-come out the same.  Each returned higher chain complex, rebuilt over whole
-cubes, must satisfy the chain condition on every cell.
+top cells, except that _Tower.start rebuilds the sequence's point maps as
+TrackMorphisms over the point ball; the four entry points around them are
+the bodies of that version without their argument checks.  kq.toda solves
+only the top cell of each stage, and every answer, choice log, budget count
+and window verdict must come out the same.  Each returned higher chain
+complex, rebuilt over whole cubes, must satisfy the chain condition on every
+cell.
 """
 
 import random
@@ -53,8 +55,13 @@ class _Tower:
     log: list = field(default_factory=list)
 
     @staticmethod
-    def start(seq, prescribed=None):
-        data = {(i, 0): f for i, f in enumerate(seq.maps, 1)}
+    def start(Q, seq, prescribed=None):
+        """The tower with seq's point maps over the point ball, as TrackMorphisms over Q, and any prescribed data."""
+        pt = point_ball()
+        data = {
+            (i, 0): TrackMorphism(pt, f.src, f.dst, Q, {("", g): v for g, v in enumerate(f.images) if v}, f.tainted)
+            for i, f in enumerate(seq.maps, 1)
+        }
         data.update(prescribed or {})
         return _Tower(data)
 
@@ -137,7 +144,7 @@ def _bracket(tower, length, n, nat, choices):
 
 
 def cubical_toda_bracket(Q, seq, n):
-    return _bracket(_Tower.start(seq), seq.length, n, NatSystem(Q, n), None)
+    return _bracket(_Tower.start(Q, seq), seq.length, n, NatSystem(Q, n), None)
 
 
 def cubical_oracle_bracket_set(Q, seq, n, budget):
@@ -147,7 +154,7 @@ def cubical_oracle_bracket_set(Q, seq, n, budget):
     def every_choice(stage, res):
         return enumerate_block_choices(res.blocks, budget)
 
-    tower = _Tower.start(seq)
+    tower = _Tower.start(Q, seq)
     for leaf, fail in _walk(tower, _stages(tower, seq.length, n), every_choice, budget):
         if fail is not None:
             continue
@@ -173,7 +180,7 @@ def cubical_build_chain_complex(Q, seq, n, budget):
                 return {"step": n + 1, "index": i, "certificate": {"obstruction": rep.coords_key()}}
         return None
 
-    tower = _Tower.start(seq)
+    tower = _Tower.start(Q, seq)
     last_failure = {}
     for leaf, fail in _walk(tower, _stages(tower, seq.length, n), options, budget):
         if fail is None:
@@ -194,7 +201,7 @@ def cubical_adams_d(Q, complex_, beta, n):
         for (i, k) in complex_.data
         if i + k <= n + 1 and k >= 1
     }
-    return _bracket(_Tower.start(aug, prescribed), aug.length, n, NatSystem(Q, n), None)
+    return _bracket(_Tower.start(Q, aug, prescribed), aug.length, n, NatSystem(Q, n), None)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +221,11 @@ def _bracket_key(res):
     return (res.status, res.step, res.index, res.certificate, res.choice_log, rep)
 
 
-def whole_cubes(hcc):
+def whole_cubes(Q, hcc):
     """Each top-cell datum of hcc over its whole cube: the glued corner
     assembly of the rebuilt lower data on the cells with a 0, zero on the
     cells with a 1, and the datum itself on the top cell."""
-    tower = _Tower.start(hcc.seq)
+    tower = _Tower.start(Q, hcc.seq)
     for i, k in sorted(hcc.data, key=lambda ik: (ik[1], ik[0])):
         corner = tower.glued_assembly(i, k - 1)
         images, _ = hcc.data[(i, k)]
@@ -227,7 +234,7 @@ def whole_cubes(hcc):
     return {key: tower.data[key] for key in hcc.data}
 
 
-def assert_chain_complexes_agree(got, want):
+def assert_chain_complexes_agree(Q, got, want):
     (hcc, fail), (ref, ref_fail) = got, want
     assert fail == ref_fail
     assert (hcc is None) == (ref is None)
@@ -235,7 +242,7 @@ def assert_chain_complexes_agree(got, want):
         return
     assert hcc.choice_log == ref.choice_log
     assert sorted(hcc.data) == sorted(ref.data)
-    for key, mor in whole_cubes(hcc).items():
+    for key, mor in whole_cubes(Q, hcc).items():
         assert mor.check() == [], key
         assert mor.equal(ref.data[key]), key
         assert hcc.data[key][1] == ref.data[key].tainted, key
@@ -263,7 +270,7 @@ def compare(Q, seq, n, budget=2**12, walks=("toda", "oracle", "chain-complex", "
         want, ref_err = _outcome(cubical_build_chain_complex, Q, window, n, EnumerationBudget(budget))
         assert err == ref_err
         if got is not None:
-            assert_chain_complexes_agree(got, want)
+            assert_chain_complexes_agree(Q, got, want)
     if "adams-d" in walks and got is not None and got[0] is not None:
         beta = seq.maps[n + 1]
         res, ref = adams_d(Q, got[0], beta, n), cubical_adams_d(Q, want[0], beta, n)
@@ -273,7 +280,7 @@ def compare(Q, seq, n, budget=2**12, walks=("toda", "oracle", "chain-complex", "
         want, ref_err = _outcome(cubical_build_chain_complex, Q, seq, n, EnumerationBudget(budget))
         assert err == ref_err
         if got is not None:
-            assert_chain_complexes_agree(got, want)
+            assert_chain_complexes_agree(Q, got, want)
 
 
 def window_cut(doc, drop):
